@@ -9,9 +9,10 @@
 //! fixed `n` and thread budget — they let `bench compare` detect
 //! bit-identity drift between commits.
 //!
-//! The registry covers the five criterion bench families (`sfc_keys`,
-//! `treesort`, `partition`, `matvec`, `collectives`) plus the engine /
-//! OptiPart-ladder kernels this PR optimises.
+//! The registry is the workspace's only micro-benchmark harness. Its
+//! kernels fall into six families (`group`): `sfc_keys`, `treesort`,
+//! `partition` (including the OptiPart ladder), `collectives`, `matvec`
+//! and `serve`.
 
 use optipart_core::optipart::{optipart, OptiPartOptions, PartitionState};
 use optipart_core::partition::{distribute_tree, treesort_partition, PartitionOptions};
@@ -44,7 +45,7 @@ pub struct Prepared {
 pub struct Kernel {
     /// Unique name, stable across commits (`bench compare` joins on it).
     pub name: &'static str,
-    /// The criterion bench family this kernel descends from.
+    /// The family this kernel belongs to (see the module header).
     pub group: &'static str,
     /// Problem size for recorded `bench run` (full mode).
     pub full_n: usize,
@@ -473,8 +474,7 @@ pub fn checksum_cells<const D: usize>(a: &[KeyedCell<D>]) -> u64 {
     acc
 }
 
-/// The shuffled-mesh input every treesort kernel sorts (same construction
-/// as `benches/treesort.rs`).
+/// The shuffled-mesh input every treesort kernel sorts.
 pub fn shuffled(n: usize, curve: Curve) -> Vec<KeyedCell<3>> {
     let pts = sample_points::<3>(Distribution::Normal, n, 7);
     let tree = tree_from_points(&pts, 1, 18, curve);
@@ -483,7 +483,7 @@ pub fn shuffled(n: usize, curve: Curve) -> Vec<KeyedCell<3>> {
     cells
 }
 
-/// Key-generation kernel (same construction as `benches/sfc_keys.rs`).
+/// Key-generation kernel.
 fn keygen(n: usize, curve: Curve) -> Prepared {
     let points = sample_points::<3>(Distribution::Normal, n, 42);
     let cells: Vec<Cell3> = points.iter().map(|&p| Cell3::new(p, 20)).collect();

@@ -2,8 +2,7 @@
 //!
 //! The [`figs`] module regenerates every measured figure of the paper's §5
 //! (Figs. 4–12) as text tables (and CSV when `--out` is given); the
-//! `figures` binary dispatches to them. Criterion micro-benchmarks live in
-//! `benches/`.
+//! `figures` binary dispatches to them.
 //!
 //! Each figure function takes a [`common::RunConfig`] whose `scale` shrinks
 //! the paper's problem sizes to laptop scale (see DESIGN.md §6 for the

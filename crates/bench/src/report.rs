@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 pub struct KernelResult {
     /// Registry name, e.g. `treesort_seq`.
     pub name: String,
-    /// Which of the criterion bench families it descends from.
+    /// The kernel family (`Kernel::group` in the registry).
     pub group: String,
     /// Problem-size parameter the kernel was built at.
     pub n: u64,

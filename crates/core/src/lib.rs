@@ -22,7 +22,6 @@
 //!   partition boundary surface, the communication matrix `M` and its NNZ
 //!   (§5.5).
 
-pub mod histogramsort;
 pub mod metrics;
 pub mod optipart;
 pub mod partition;
@@ -31,7 +30,6 @@ pub mod samplesort;
 pub mod threaded;
 pub mod treesort;
 
-pub use histogramsort::histogramsort_partition;
 pub use optipart::{
     optipart, optipart_survivors, optipart_survivors_with_state, optipart_with_state,
     OptiPartOptions, PartitionState, WarmStats, DEFAULT_STATE_CAP,
@@ -42,9 +40,3 @@ pub use partition::{
 };
 pub use quality::partition_quality;
 pub use samplesort::{samplesort_partition, SampleSortOptions};
-
-// Property-test suites need the external `proptest` crate, which the
-// offline tier-1 build cannot fetch; enable with `--features proptest`
-// once a vendored copy is available.
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;

@@ -43,9 +43,3 @@ pub use matvec::{laplacian_matvec, MatvecStats};
 pub use mesh::{DistMesh, LocalMesh, Slot};
 pub use recovery::{amr_simulation_ft, run_matvec_ft, DeathRecord, FtAmrReport, FtReport};
 pub use solver::{cg_solve, CgReport};
-
-// Property-test suites need the external `proptest` crate, which the
-// offline tier-1 build cannot fetch; enable with `--features proptest`
-// once a vendored copy is available.
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;

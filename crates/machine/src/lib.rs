@@ -41,9 +41,3 @@ pub mod perf;
 pub use energy::{ActivityKind, EnergyReport, IpmiSampler, NodePower, PowerTrace};
 pub use model::{AppModel, Hierarchy, MachineModel};
 pub use perf::PerfModel;
-
-// Property-test suites need the external `proptest` crate, which the
-// offline tier-1 build cannot fetch; enable with `--features proptest`
-// once a vendored copy is available.
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;

@@ -11,11 +11,16 @@
 //! `(src, dst, payload)` traffic that exists, either as per-rank pair lists
 //! ([`Engine::alltoallv_sparse`], [`Engine::alltoallv_by`]) or as flat
 //! segments in a reusable [`AlltoallvArena`] ([`Engine::alltoallv_flat`]).
-//! All staging state lives in a per-engine `CollectiveScratch` pool, so a
-//! steady-state exchange allocates nothing proportional to `p`. The dense
-//! `p × p` entry point (`Engine::alltoallv`) is retained behind
-//! `#[cfg(any(test, feature = "reference"))]` as the differential reference,
-//! with an independently implemented hypercube staging simulation.
+//! Every entry point is the same sequence — enumerate the links into
+//! `Engine::account_link`, `Engine::settle_alltoall` (statistics, schedule
+//! cost, fault retries, clock charges), then move the payload in its own
+//! container shape and audit the delivery — so cost accounting exists once
+//! (DESIGN.md §17). All staging state lives in a per-engine
+//! `CollectiveScratch` pool, so a steady-state exchange allocates nothing
+//! proportional to `p`. The dense `p × p` entry point (`Engine::alltoallv`)
+//! is retained behind `#[cfg(any(test, feature = "reference"))]` as the
+//! differential reference; it selects an independently implemented
+//! hypercube staging simulation through the same accounting core.
 
 use crate::engine::Engine;
 use crate::faults::FaultPlan;
@@ -58,6 +63,16 @@ fn hypercube_stages(p: usize) -> usize {
     } else {
         (usize::BITS - (p - 1).leading_zeros()) as usize
     }
+}
+
+/// How [`AllToAllAlgo::Hypercube`] stage volumes are computed. Charges are
+/// bit-identical either way; the walked form exists so the production
+/// closed form has an independently written implementation to differ
+/// against (it is what the dense reference entry point selects).
+enum Staging {
+    ClosedForm,
+    #[cfg(any(test, feature = "reference"))]
+    Walked,
 }
 
 /// One route of an all-to-all: `bytes` of off-rank traffic `src → dst`.
@@ -225,53 +240,92 @@ impl<T: Copy> AlltoallvArena<T> {
 }
 
 impl Engine {
-    /// Messages charged to [`crate::RunStats::msgs_total`] for an exchange
-    /// with `total_msgs` non-empty off-rank links. Hypercube contributes 0
-    /// here: its count — distinct sending ranks per stage — is accumulated
-    /// during the staging walk itself.
-    fn alltoall_msg_count(&self, algo: AllToAllAlgo, total_msgs: u64) -> u64 {
-        match algo {
-            AllToAllAlgo::Direct => total_msgs,
-            AllToAllAlgo::Staged => self.p as u64 * self.log_p() as u64,
-            AllToAllAlgo::Hypercube => 0,
+    /// Opens an all-to-all: takes the pooled scratch (all-zero by the pool
+    /// invariant) sized for the current rank count.
+    fn begin_alltoall(&mut self) -> CollectiveScratch {
+        let mut s = std::mem::take(&mut self.coll_scratch);
+        s.ensure(self.p);
+        s
+    }
+
+    /// Accounts one non-empty `src → dst` message of `bytes` bytes — the
+    /// single site that fills the per-rank traffic arrays, the hypercube
+    /// route list, the intra-node byte share and the communication matrix.
+    /// Self-addressed messages never touch the network and are free.
+    #[inline]
+    fn account_link(
+        &mut self,
+        s: &mut CollectiveScratch,
+        algo: AllToAllAlgo,
+        src: usize,
+        dst: usize,
+        bytes: u64,
+    ) {
+        if src == dst {
+            return;
+        }
+        s.send_bytes[src] += bytes;
+        s.recv_bytes[dst] += bytes;
+        if self.same_node(src, dst) {
+            s.send_intra[src] += bytes;
+            s.recv_intra[dst] += bytes;
+            self.stats.bytes_intra += bytes;
+        }
+        s.out_msgs[src] += 1;
+        s.in_msgs[dst] += 1;
+        if algo == AllToAllAlgo::Hypercube {
+            s.routes.push(RouteVol {
+                src: src as u32,
+                dst: dst as u32,
+                bytes,
+            });
+        }
+        if let Some(mat) = &mut self.comm_matrix {
+            mat.add(self.tracks[src], self.tracks[dst], bytes);
         }
     }
 
-    /// Per-rank clock charges of an all-to-all exchange described by the
-    /// filled accounting arrays of `s`: latency + volume cost under the
-    /// chosen schedule (with the rank's effective `tw`), plus deterministic
+    /// Closes the accounting of an all-to-all whose links went through
+    /// [`Engine::account_link`]: books the run statistics, then charges
+    /// every rank's clock — latency + volume cost under the chosen schedule
+    /// (with the rank's effective `tw`), plus deterministic
     /// retry-with-backoff when the fault plan makes this exchange fail
-    /// transiently on a rank. Leaves `s` zeroed again (the scratch-pool
-    /// invariant).
-    fn charge_alltoall(&mut self, algo: AllToAllAlgo, s: &mut CollectiveScratch) {
-        let t0 = self.sync_start("alltoallv");
-        let ts = self.perf.machine.ts;
-        let seq = self.collective_seq;
-        self.collective_seq += 1;
-        let plan = self.faults.as_ref().map(|(plan, _)| plan.clone());
-        match algo {
-            AllToAllAlgo::Hypercube => self.stage_costs_hypercube(ts, s),
-            _ => self.flat_costs(algo, ts, s),
-        }
-        self.finish_alltoall(t0, seq, &plan, s);
-    }
+    /// transiently on a rank. Returns the off-rank bytes charged (what the
+    /// entry points audit their delivery against) and leaves the accounting
+    /// arrays of `s` zeroed again (the scratch-pool invariant).
+    fn settle_alltoall(
+        &mut self,
+        algo: AllToAllAlgo,
+        staging: Staging,
+        s: &mut CollectiveScratch,
+    ) -> u64 {
+        let p = self.p;
+        let total_bytes: u64 = s.send_bytes[..p].iter().sum();
+        self.stats.collectives += 1;
+        self.stats.bytes_total += total_bytes;
+        // Hypercube's message count — distinct sending ranks per stage — is
+        // accumulated during the staging walk itself.
+        self.stats.msgs_total += match algo {
+            AllToAllAlgo::Direct => s.out_msgs[..p].iter().sum(),
+            AllToAllAlgo::Staged => p as u64 * self.log_p() as u64,
+            AllToAllAlgo::Hypercube => 0,
+        };
 
-    /// Reference twin of [`Engine::charge_alltoall`] used by the retained
-    /// dense path: identical Direct/Staged costing, but Hypercube staging
-    /// runs the independently implemented holder walk so the two paths form
-    /// a genuine differential pair.
-    #[cfg(any(test, feature = "reference"))]
-    fn charge_alltoall_reference(&mut self, algo: AllToAllAlgo, s: &mut CollectiveScratch) {
         let t0 = self.sync_start("alltoallv");
         let ts = self.perf.machine.ts;
         let seq = self.collective_seq;
         self.collective_seq += 1;
         let plan = self.faults.as_ref().map(|(plan, _)| plan.clone());
-        match algo {
-            AllToAllAlgo::Hypercube => self.stage_costs_hypercube_reference(ts, s),
+        match (algo, staging) {
+            (AllToAllAlgo::Hypercube, Staging::ClosedForm) => self.stage_costs_hypercube(ts, s),
+            #[cfg(any(test, feature = "reference"))]
+            (AllToAllAlgo::Hypercube, Staging::Walked) => {
+                self.stage_costs_hypercube_reference(ts, s)
+            }
             _ => self.flat_costs(algo, ts, s),
         }
         self.finish_alltoall(t0, seq, &plan, s);
+        total_bytes
     }
 
     /// Direct/Staged per-rank base costs into `s.cost`.
@@ -627,44 +681,17 @@ impl Engine {
         assert!(send.iter().all(|row| row.len() == p), "ragged send rows");
         let elem = std::mem::size_of::<T>() as u64;
 
-        // Traffic accounting.
-        let mut s = std::mem::take(&mut self.coll_scratch);
-        s.ensure(p);
+        // Traffic accounting and clock charges (+ fault retries), via the
+        // walked reference staging.
+        let mut s = self.begin_alltoall();
         for (src, row) in send.iter().enumerate() {
             for (dst, buf) in row.iter().enumerate() {
-                if buf.is_empty() || src == dst {
-                    continue;
-                }
-                let b = buf.len() as u64 * elem;
-                s.send_bytes[src] += b;
-                s.recv_bytes[dst] += b;
-                if self.same_node(src, dst) {
-                    s.send_intra[src] += b;
-                    s.recv_intra[dst] += b;
-                    self.stats.bytes_intra += b;
-                }
-                s.out_msgs[src] += 1;
-                s.in_msgs[dst] += 1;
-                if algo == AllToAllAlgo::Hypercube {
-                    s.routes.push(RouteVol {
-                        src: src as u32,
-                        dst: dst as u32,
-                        bytes: b,
-                    });
-                }
-                if let Some(mat) = &mut self.comm_matrix {
-                    mat.add(self.tracks[src], self.tracks[dst], b);
+                if !buf.is_empty() {
+                    self.account_link(&mut s, algo, src, dst, buf.len() as u64 * elem);
                 }
             }
         }
-        let total_bytes: u64 = s.send_bytes[..p].iter().sum();
-        let total_msgs: u64 = s.out_msgs[..p].iter().sum();
-        self.stats.collectives += 1;
-        self.stats.bytes_total += total_bytes;
-        self.stats.msgs_total += self.alltoall_msg_count(algo, total_msgs);
-
-        // Clock charges (+ fault retries), via the reference staging.
-        self.charge_alltoall_reference(algo, &mut s);
+        let total_bytes = self.settle_alltoall(algo, Staging::Walked, &mut s);
         self.coll_scratch = s;
 
         // Audit bookkeeping: element counts per (src, dst) before the move.
@@ -747,43 +774,16 @@ impl Engine {
         assert_eq!(send.len(), p, "send must have one row per rank");
         let elem = std::mem::size_of::<T>() as u64;
 
-        let mut s = std::mem::take(&mut self.coll_scratch);
-        s.ensure(p);
+        let mut s = self.begin_alltoall();
         for (src, row) in send.iter().enumerate() {
             for (dst, buf) in row {
                 debug_assert!(*dst < p, "destination {dst} out of range");
-                if buf.is_empty() || src == *dst {
-                    continue;
-                }
-                let b = buf.len() as u64 * elem;
-                s.send_bytes[src] += b;
-                s.recv_bytes[*dst] += b;
-                if self.same_node(src, *dst) {
-                    s.send_intra[src] += b;
-                    s.recv_intra[*dst] += b;
-                    self.stats.bytes_intra += b;
-                }
-                s.out_msgs[src] += 1;
-                s.in_msgs[*dst] += 1;
-                if algo == AllToAllAlgo::Hypercube {
-                    s.routes.push(RouteVol {
-                        src: src as u32,
-                        dst: *dst as u32,
-                        bytes: b,
-                    });
-                }
-                if let Some(mat) = &mut self.comm_matrix {
-                    mat.add(self.tracks[src], self.tracks[*dst], b);
+                if !buf.is_empty() {
+                    self.account_link(&mut s, algo, src, *dst, buf.len() as u64 * elem);
                 }
             }
         }
-        let total_bytes: u64 = s.send_bytes[..p].iter().sum();
-        let total_msgs: u64 = s.out_msgs[..p].iter().sum();
-        self.stats.collectives += 1;
-        self.stats.bytes_total += total_bytes;
-        self.stats.msgs_total += self.alltoall_msg_count(algo, total_msgs);
-
-        self.charge_alltoall(algo, &mut s);
+        self.settle_alltoall(algo, Staging::ClosedForm, &mut s);
         self.coll_scratch = s;
 
         // Audit bookkeeping: sent element count per (src, dst) pair.
@@ -852,42 +852,13 @@ impl Engine {
     ) {
         let p = self.p;
         let elem = std::mem::size_of::<T>() as u64;
-        let mut s = std::mem::take(&mut self.coll_scratch);
-        s.ensure(p);
+        let mut s = self.begin_alltoall();
         for seg in &arena.segs {
             let (src, dst) = (seg.src as usize, seg.dst as usize);
             assert!(src < p && dst < p, "segment {src}->{dst} out of range");
-            if src == dst {
-                continue;
-            }
-            let b = seg.len as u64 * elem;
-            s.send_bytes[src] += b;
-            s.recv_bytes[dst] += b;
-            if self.same_node(src, dst) {
-                s.send_intra[src] += b;
-                s.recv_intra[dst] += b;
-                self.stats.bytes_intra += b;
-            }
-            s.out_msgs[src] += 1;
-            s.in_msgs[dst] += 1;
-            if algo == AllToAllAlgo::Hypercube {
-                s.routes.push(RouteVol {
-                    src: seg.src,
-                    dst: seg.dst,
-                    bytes: b,
-                });
-            }
-            if let Some(mat) = &mut self.comm_matrix {
-                mat.add(self.tracks[src], self.tracks[dst], b);
-            }
+            self.account_link(&mut s, algo, src, dst, seg.len as u64 * elem);
         }
-        let total_bytes: u64 = s.send_bytes[..p].iter().sum();
-        let total_msgs: u64 = s.out_msgs[..p].iter().sum();
-        self.stats.collectives += 1;
-        self.stats.bytes_total += total_bytes;
-        self.stats.msgs_total += self.alltoall_msg_count(algo, total_msgs);
-
-        self.charge_alltoall(algo, &mut s);
+        let total_bytes = self.settle_alltoall(algo, Staging::ClosedForm, &mut s);
         self.coll_scratch = s;
 
         // Delivery: sort a copy of the segment table by (dst, src,
@@ -947,8 +918,7 @@ impl Engine {
         let p = self.p;
         assert_eq!(send.len(), p, "send must have one row per rank");
         let elem = std::mem::size_of::<T>() as u64;
-        let mut s = std::mem::take(&mut self.coll_scratch);
-        s.ensure(p);
+        let mut s = self.begin_alltoall();
         s.by_dests.clear();
         s.by_dests.reserve(send.iter().map(Vec::len).sum());
 
@@ -965,43 +935,16 @@ impl Engine {
                 s.by_counts[d] += 1;
                 s.by_dests.push(d as u32);
             }
-            for &du in &s.touched {
-                let d = du as usize;
+            for i in 0..s.touched.len() {
+                let d = s.touched[i] as usize;
                 let cnt = s.by_counts[d];
-                s.out_totals[d] += cnt;
-                if d != src {
-                    let b = cnt * elem;
-                    s.send_bytes[src] += b;
-                    s.recv_bytes[d] += b;
-                    if self.same_node(src, d) {
-                        s.send_intra[src] += b;
-                        s.recv_intra[d] += b;
-                        self.stats.bytes_intra += b;
-                    }
-                    s.out_msgs[src] += 1;
-                    s.in_msgs[d] += 1;
-                    if algo == AllToAllAlgo::Hypercube {
-                        s.routes.push(RouteVol {
-                            src: src as u32,
-                            dst: d as u32,
-                            bytes: b,
-                        });
-                    }
-                    if let Some(mat) = &mut self.comm_matrix {
-                        mat.add(self.tracks[src], self.tracks[d], b);
-                    }
-                }
                 s.by_counts[d] = 0;
+                s.out_totals[d] += cnt;
+                self.account_link(&mut s, algo, src, d, cnt * elem);
             }
             s.touched.clear();
         }
-        let total_bytes: u64 = s.send_bytes[..p].iter().sum();
-        let total_msgs: u64 = s.out_msgs[..p].iter().sum();
-        self.stats.collectives += 1;
-        self.stats.bytes_total += total_bytes;
-        self.stats.msgs_total += self.alltoall_msg_count(algo, total_msgs);
-
-        self.charge_alltoall(algo, &mut s);
+        self.settle_alltoall(algo, Staging::ClosedForm, &mut s);
 
         // Pass 2: scatter into exact-capacity delivery buffers using the
         // cached destinations — the only allocations are the p output rows.

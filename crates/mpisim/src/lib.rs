@@ -88,9 +88,3 @@ pub use engine::{Engine, TimeMode};
 pub use faults::{catch_rank_death, FaultPlan, RankDeath, RankFaults};
 pub use optipart_trace::{CriticalPath, ModelAttribution, PathKind, Profile, Tracer};
 pub use stats::{CommMatrix, RunStats};
-
-// Property-test suites need the external `proptest` crate, which the
-// offline tier-1 build cannot fetch; enable with `--features proptest`
-// once a vendored copy is available.
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;

@@ -120,7 +120,7 @@ impl CommMatrix {
 }
 
 /// Aggregate traffic and timing statistics of one engine run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Total bytes moved over the (virtual) network.
     pub bytes_total: u64,

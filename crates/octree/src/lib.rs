@@ -26,9 +26,3 @@ pub use generate::{
     Distribution, MeshParams,
 };
 pub use linear::LinearTree;
-
-// Property-test suites need the external `proptest` crate, which the
-// offline tier-1 build cannot fetch; enable with `--features proptest`
-// once a vendored copy is available.
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;

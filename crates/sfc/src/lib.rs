@@ -34,9 +34,3 @@ pub mod morton;
 
 pub use cell::{Cell, Cell2, Cell3, Point, MAX_DEPTH};
 pub use key::{Curve, KeyedCell, SfcKey};
-
-// Property-test suites need the external `proptest` crate, which the
-// offline tier-1 build cannot fetch; enable with `--features proptest`
-// once a vendored copy is available.
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;

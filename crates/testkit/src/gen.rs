@@ -1,9 +1,8 @@
-//! Shared seeded generators — the single home of the helpers the per-crate
-//! property suites used to carry as private copies.
+//! Shared seeded generators — the engine and mesh builders the root
+//! `tests/properties.rs` suite and the fault-recovery oracle draw from.
 //!
 //! Everything here is deterministic in its arguments; no global state, no
-//! host entropy. The `proptest` `Strategy` wrappers live in
-//! `crate::strategies` behind the `proptest` feature.
+//! host entropy.
 
 use optipart_machine::{AppModel, MachineModel, PerfModel};
 use optipart_mpisim::Engine;
@@ -16,18 +15,13 @@ pub fn engine_on(machine: MachineModel, p: usize) -> Engine {
     Engine::new(p, PerfModel::new(machine, AppModel::laplacian_matvec()))
 }
 
-/// The engine the `mpisim` property suite uses (Titan).
-pub fn engine_titan(p: usize) -> Engine {
-    engine_on(MachineModel::titan(), p)
-}
-
-/// The engine the `core`/`fem` property suites use (CloudLab Wisconsin).
+/// The default engine of the core and fem properties (CloudLab Wisconsin).
 pub fn engine_wisconsin(p: usize) -> Engine {
     engine_on(MachineModel::cloudlab_wisconsin(), p)
 }
 
 /// A normally-distributed adaptive octree capped at `max_level` — the
-/// generic mesh generator behind the property suites.
+/// generic mesh generator behind [`tree`] and [`balanced_tree`].
 pub fn normal_tree<const D: usize>(
     seed: u64,
     n: usize,
@@ -38,12 +32,12 @@ pub fn normal_tree<const D: usize>(
     tree_from_points(&pts, 1, max_level, curve)
 }
 
-/// The `core` suite's mesh: normal distribution, refinement cap 14.
+/// The partitioning properties' mesh: normal distribution, refinement cap 14.
 pub fn tree(seed: u64, n: usize, curve: Curve) -> LinearTree<3> {
     normal_tree::<3>(seed, n, 14, curve)
 }
 
-/// The `fem` suite's mesh: 2:1-balanced (the class on which ghost discovery
+/// The fem properties' mesh: 2:1-balanced (the class on which ghost discovery
 /// is complete and the stencil partition-independent), cap 8. Generic in
 /// `D` for the quadtree instantiation.
 pub fn balanced_tree<const D: usize>(seed: u64, n: usize, curve: Curve) -> LinearTree<D> {

@@ -25,14 +25,11 @@
 //!   --seed S`) running scenarios through the full
 //!   engine+faults+checkpoint+trace stack, shrinking any failure and
 //!   printing its one-line replay.
-//! * [`gen`] / `strategies` — the shared seeded generators (and, behind
-//!   the `proptest` feature, `Strategy` wrappers) that the per-crate
-//!   property suites import instead of carrying private copies.
+//! * [`gen`] — the shared seeded engine and mesh builders behind the
+//!   fault-recovery oracle and the root `tests/properties.rs` suite.
 //!
-//! The dependency crates are re-exported below so downstream test code —
-//! in particular the per-crate `proptests.rs` modules, whose unit-test
-//! targets are *separate compilations* of their own crate — can name the
-//! exact type instances this crate's generators produce.
+//! The dependency crates are re-exported below so downstream test code can
+//! name the exact type instances this crate's generators produce.
 
 pub use optipart_core as core;
 pub use optipart_fem as fem;
@@ -53,9 +50,6 @@ pub mod gen;
 pub mod metamorphic;
 pub mod oracles;
 pub mod soak;
-
-#[cfg(feature = "proptest")]
-pub mod strategies;
 
 pub use scenario::{MeshShape, Scenario};
 pub use soak::{run_scenario, soak, SoakFailure, SoakReport, CHECKS};

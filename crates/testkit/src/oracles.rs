@@ -10,7 +10,7 @@
 //! | [`treesort_optimized`] | the ping-pong/parallel TreeSort is a pure optimisation | bit-identity vs the retained `treesort_reference` |
 //! | [`warm_vs_cold`] | the warm-started tolerance ladder is a pure optimisation | a cold ladder run on every step of the same AMR loop |
 //! | [`serve_vs_library`] | optipart-serve responses are bit-identical to direct calls | [`optipart_serve::direct`] on a fresh engine and state |
-//! | [`sparse_vs_dense_collectives`] | the sparse/flat-arena all-to-alls are pure optimisations | the dense p×p `Engine::alltoallv` (the `reference` feature) |
+//! | [`sparse_vs_dense_collectives`] | the sparse, flat-arena and routed (`_by`) all-to-alls are pure optimisations | the dense p×p `Engine::alltoallv` (the `reference` feature) |
 //! | [`hierarchy_flattening`] | a degenerate two-level machine is the flat model | the same scenario with no hierarchy, bit for bit |
 //!
 //! All failures panic through [`tk_assert!`], so the message always carries
@@ -151,8 +151,10 @@ pub fn hierarchy_flattening(scn: &Scenario) {
 /// The scenario's sparse traffic pattern for the collectives oracle: ring
 /// neighbours, a seeded long-range route, a self-message and ragged
 /// payload lengths including empty buffers — at most one buffer per
-/// `(src, dst)` link, so the dense, sparse and flat-arena views of the
-/// same exchange stay directly comparable.
+/// `(src, dst)` link, so the dense, sparse, flat-arena and routed views of
+/// the same exchange stay directly comparable. Every element carries its
+/// link (`src << 32 | dst << 16 | index`), which is what lets
+/// [`Engine::alltoallv_by`] route it without a side table.
 pub(crate) fn collective_traffic(scn: &Scenario) -> Vec<Vec<(usize, Vec<u64>)>> {
     let p = scn.p;
     let mut rng = SplitMix64::new(scn.shuffle_seed(30));
@@ -178,16 +180,25 @@ pub(crate) fn collective_traffic(scn: &Scenario) -> Vec<Vec<(usize, Vec<u64>)>> 
 }
 
 /// **Oracle 8 — sparse vs dense collectives.** The production all-to-all
-/// entry points ([`Engine::alltoallv_sparse`] and the flat-arena
-/// [`Engine::alltoallv_flat`]) must be *pure* optimisations of the dense
-/// `p × p` reference [`Engine::alltoallv`] retained behind the
-/// `reference` feature: on the same scenario-derived neighbourhood
-/// traffic, all three must deliver bit-identical payloads, record equal
-/// communication matrices and run statistics, and charge bit-identical
-/// per-rank virtual clocks — for every staging algorithm (Direct, Staged,
-/// Hypercube) and both on a clean machine and under the scenario's benign
-/// fault plan (stragglers, `tw` jitter, transient retries).
+/// entry points ([`Engine::alltoallv_sparse`], the flat-arena
+/// [`Engine::alltoallv_flat`] and the routed [`Engine::alltoallv_by`])
+/// must be *pure* optimisations of the dense `p × p` reference
+/// [`Engine::alltoallv`] retained behind the `reference` feature: on the
+/// same scenario-derived neighbourhood traffic, all four must deliver
+/// bit-identical payloads, record equal communication matrices and run
+/// statistics, and charge bit-identical per-rank virtual clocks — for
+/// every staging algorithm (Direct, Staged, Hypercube) and both on a clean
+/// machine and under the scenario's benign fault plan (stragglers, `tw`
+/// jitter, transient retries). The machine is always two-level (a flat
+/// scenario is run as SMP), so the intra-node byte share is exercised too.
 pub fn sparse_vs_dense_collectives(scn: &Scenario) {
+    let scn = &Scenario {
+        hier: match scn.hier {
+            HierKind::None => HierKind::Smp,
+            hier => hier,
+        },
+        ..scn.clone()
+    };
     let p = scn.p;
     let traffic = collective_traffic(scn);
     // Expected delivery, straight from the pattern: per destination, the
@@ -241,6 +252,15 @@ pub fn sparse_vs_dense_collectives(scn: &Scenario) {
             }
             ef.alltoallv_flat(&mut arena, algo);
 
+            // Routed production path: every rank's elements in one buffer,
+            // the destination read back out of each element.
+            let mut eb = engine();
+            let routed: Vec<Vec<u64>> = traffic
+                .iter()
+                .map(|row| row.iter().flat_map(|(_, buf)| buf).copied().collect())
+                .collect();
+            let got_b = eb.alltoallv_by(routed, |_, v| (v >> 16) as usize & 0xffff, algo);
+
             // Payload bit-identity against the independently built
             // expectation (empty buffers normalised away — the arena drops
             // them at staging time, the other two deliver them).
@@ -266,6 +286,12 @@ pub fn sparse_vs_dense_collectives(scn: &Scenario) {
                     &sp == want,
                     "{what}: sparse delivery to rank {dst} diverges"
                 );
+                let by: Vec<u64> = want.iter().flat_map(|(_, b)| b).copied().collect();
+                tk_assert!(
+                    scn,
+                    got_b[dst] == by,
+                    "{what}: routed delivery to rank {dst} diverges"
+                );
             }
             let flat: Vec<(usize, usize, Vec<u64>)> = arena
                 .recv()
@@ -283,21 +309,17 @@ pub fn sparse_vs_dense_collectives(scn: &Scenario) {
             );
 
             // Identical virtual-time charges, down to float bits.
-            for (label, e) in [("sparse", &es), ("flat", &ef)] {
+            for (label, e) in [("sparse", &es), ("flat", &ef), ("by", &eb)] {
                 tk_assert!(
                     scn,
                     e.clocks() == ed.clocks(),
                     "{what}: {label} clocks diverge from the dense reference"
                 );
-                let (a, b) = (e.stats(), ed.stats());
-                tk_assert!(
+                tk_assert_eq!(
                     scn,
-                    a.bytes_total == b.bytes_total
-                        && a.msgs_total == b.msgs_total
-                        && a.collectives == b.collectives
-                        && a.retries_total == b.retries_total,
-                    "{what}: {label} run stats diverge from the dense reference \
-                     ({a:?} vs {b:?})"
+                    e.stats(),
+                    ed.stats(),
+                    "{what}: {label} run stats diverge from the dense reference"
                 );
                 // Entry iteration order is insertion order, which
                 // legitimately differs between entry points — the *matrix*

@@ -29,12 +29,16 @@ use optipart::sfc::{Cell3, Curve};
 use std::io::{BufRead, BufWriter, Write};
 use std::process::exit;
 
+#[path = "../flags.rs"]
+mod flags;
+use flags::{parse_flags, Flags};
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         usage("missing subcommand");
     };
-    let opts = parse_flags(rest);
+    let opts = parse_flags(rest, &["optipart", "latency-aware"], &[("-p", "p")], usage);
     match cmd.as_str() {
         "gen" => cmd_gen(&opts),
         "partition" => cmd_partition(&opts),
@@ -42,51 +46,6 @@ fn main() {
         "-h" | "--help" => usage(""),
         other => usage(&format!("unknown subcommand '{other}'")),
     }
-}
-
-struct Flags(Vec<(String, String)>);
-
-impl Flags {
-    fn get(&self, key: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-    fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.get(key) {
-            None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| usage(&format!("bad value for --{key}"))),
-        }
-    }
-    fn has(&self, key: &str) -> bool {
-        self.get(key).is_some()
-    }
-}
-
-fn parse_flags(args: &[String]) -> Flags {
-    let mut out = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let key = match a.as_str() {
-            "-p" => "p".to_string(),
-            s if s.starts_with("--") => s[2..].to_string(),
-            other => usage(&format!("unexpected argument '{other}'")),
-        };
-        // Boolean flags: --optipart, --latency-aware.
-        if matches!(key.as_str(), "optipart" | "latency-aware") {
-            out.push((key, "true".into()));
-        } else {
-            let v = it
-                .next()
-                .unwrap_or_else(|| usage(&format!("--{key} needs a value")));
-            out.push((key, v.clone()));
-        }
-    }
-    Flags(out)
 }
 
 fn curve_of(f: &Flags) -> Curve {

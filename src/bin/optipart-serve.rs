@@ -48,6 +48,10 @@ use std::process::exit;
 use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
+#[path = "../flags.rs"]
+mod flags;
+use flags::{parse_flags, Flags};
+
 /// Byte cap on one request line (`--max-line`): past it the rest of the
 /// line is swallowed, the client gets an error line, and the connection
 /// keeps serving.
@@ -58,7 +62,12 @@ fn main() {
     let Some((cmd, rest)) = args.split_first() else {
         usage("missing subcommand");
     };
-    let f = parse_flags(rest);
+    let f = parse_flags(
+        rest,
+        &["no-batching", "verify", "allow-shed", "quiet", "no-socket"],
+        &[],
+        usage,
+    );
     match cmd.as_str() {
         "serve" => cmd_serve(&f),
         "gen" => cmd_gen(&f),
@@ -854,52 +863,6 @@ fn run_chaos_client(path: &str, script: &optipart::serve::chaos::ClientScript, s
     if let Some(h) = rd {
         let _ = h.join();
     }
-}
-
-struct Flags(Vec<(String, String)>);
-
-impl Flags {
-    fn get(&self, key: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-    fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.get(key) {
-            None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| usage(&format!("bad value for --{key}"))),
-        }
-    }
-    fn has(&self, key: &str) -> bool {
-        self.get(key).is_some()
-    }
-}
-
-fn parse_flags(args: &[String]) -> Flags {
-    let mut out = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let key = match a.as_str() {
-            s if s.starts_with("--") => s[2..].to_string(),
-            other => usage(&format!("unexpected argument '{other}'")),
-        };
-        if matches!(
-            key.as_str(),
-            "no-batching" | "verify" | "allow-shed" | "quiet" | "no-socket"
-        ) {
-            out.push((key, "true".into()));
-        } else {
-            let v = it
-                .next()
-                .unwrap_or_else(|| usage(&format!("--{key} needs a value")));
-            out.push((key, v.clone()));
-        }
-    }
-    Flags(out)
 }
 
 fn usage(err: &str) -> ! {

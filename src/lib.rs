@@ -16,8 +16,8 @@
 //! * [`machine`] — machine models (Titan, Stampede, CloudLab), the Eq. (3)
 //!   performance model, power/energy simulation.
 //! * [`core`] — the paper's algorithms: TreeSort, flexible-tolerance
-//!   partitioning, PartitionQuality, OptiPart, SampleSort and histogram-sort
-//!   baselines, partition metrics.
+//!   partitioning, PartitionQuality, OptiPart, the SampleSort baseline,
+//!   partition metrics.
 //! * [`fem`] — the test application: distributed octree mesh, ghost
 //!   exchange, Laplacian matvec, CG solver, AMR time-stepping driver.
 //! * [`trace`] — deterministic structured tracing over the virtual BSP

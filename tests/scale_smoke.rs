@@ -4,16 +4,28 @@
 //! memory O(active neighbours + log p) per rank instead of O(p), and a
 //! steady state that allocates (essentially) nothing per exchange.
 //!
-//! Everything runs inside a single `#[test]` so the process-wide
-//! allocation counters are not perturbed by concurrent harness threads.
+//! The allocation counters are process-wide, so every `#[test]` in this
+//! binary holds [`serial`] for its whole body: whatever `--test-threads`
+//! libtest is given, no other test allocates while one is counting.
 
 use optipart_bench::alloc_count::{counters, CountingAllocator};
 use optipart_machine::{AppModel, MachineModel, PerfModel};
 use optipart_mpisim::par::par_map_mut_n;
 use optipart_mpisim::{AllToAllAlgo, AlltoallvArena, Engine};
+use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Serialises the tests of this binary (see the module header). A test
+/// that failed while holding the lock must not mask the others' verdicts,
+/// so poisoning is ignored — the guard protects no data.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// The paper's strong-scaling rank counts exercised in tier-1 (Fig. 4
 /// runs 4,096 → 262,144; the sweep driver `figures scaling` covers the
@@ -47,6 +59,7 @@ fn stage_round(arena: &mut AlltoallvArena<u64>, p: usize, round: u64) {
 
 #[test]
 fn paper_scale_exchanges() {
+    let _serial = serial();
     let mut steady_bytes = Vec::new();
     for p in RANK_COUNTS {
         let mut e = engine(p);
@@ -127,6 +140,7 @@ fn paper_scale_exchanges() {
 /// Chrome trace byte-identical.
 #[test]
 fn trace_identity_across_thread_counts() {
+    let _serial = serial();
     let p = 65_536;
     let run = |threads: usize| {
         // Per-rank payload prep under an explicit thread budget.
