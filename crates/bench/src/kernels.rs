@@ -24,7 +24,7 @@ use optipart_core::treesort::{
 use optipart_fem::amr::{step_mesh, AmrConfig};
 use optipart_fem::{laplacian_matvec, repartition_sequence, DistMesh};
 use optipart_machine::{AppModel, MachineModel, PerfModel};
-use optipart_mpisim::rng::SplitMix64;
+use optipart_mpisim::rng::{self, SplitMix64};
 use optipart_mpisim::{par, AllToAllAlgo, AlltoallvArena, DistVec, Engine};
 use optipart_octree::{sample_points, tree_from_points, Distribution, MeshParams};
 use optipart_serve::soak::mixed_stream;
@@ -561,14 +561,6 @@ fn amr_warm_kernel(n: usize) -> Prepared {
 /// copies them into the report's `derived` block.
 pub static SERVE_STATS: Mutex<BTreeMap<String, f64>> = Mutex::new(BTreeMap::new());
 
-/// SplitMix64 finalizer for the order-independent serve checksum.
-fn finalize(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The partition-as-a-service kernel: a persistent `optipart-serve` server
 /// (workers, warm states and engine caches live across iterations) serving
 /// a deterministic paused-burst stream of `n` requests over `n/10` distinct
@@ -609,7 +601,7 @@ fn serve_kernel(n: usize, workers: usize) -> Prepared {
             let mut lat: Vec<u64> = Vec::with_capacity(resps.len());
             for r in &resps {
                 let p = r.payload.as_ref().expect("bench stream never sheds");
-                acc = acc.wrapping_add(finalize(r.id ^ p.sig.rotate_left(17)));
+                acc = acc.wrapping_add(rng::mix(r.id ^ p.sig.rotate_left(17)));
                 lat.push(r.wall_us);
             }
             lat.sort_unstable();

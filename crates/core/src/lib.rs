@@ -15,7 +15,9 @@
 //! * [`optipart()`] — **Algorithm 3** (`OptiPart`): distributed TreeSort that
 //!   refines only while the predicted runtime of the *next* refinement
 //!   improves — discovering the optimal tolerance automatically for the
-//!   given machine and application.
+//!   given machine and application. It shares TreeSort's one refinement
+//!   loop (run once per tolerance rung, optionally served from a warm
+//!   count table) and its one exchange-sort-report finisher.
 //! * [`samplesort`] — the baseline: Morton + SampleSort partitioning as in
 //!   Dendro (§5.2), for the comparison figures.
 //! * [`metrics`] — partition-quality analysis: load/communication imbalance,
@@ -31,11 +33,10 @@ pub mod threaded;
 pub mod treesort;
 
 pub use optipart::{
-    optipart, optipart_survivors, optipart_survivors_with_state, optipart_with_state,
-    OptiPartOptions, PartitionState, WarmStats, DEFAULT_STATE_CAP,
+    optipart, optipart_with_state, OptiPartOptions, PartitionState, WarmStats, DEFAULT_STATE_CAP,
 };
 pub use partition::{
-    distribute_shuffled, distribute_tree, treesort_partition, treesort_partition_weighted,
+    distribute_by_splitters, distribute_shuffled, distribute_tree, treesort_partition,
     PartitionOptions, PartitionOutcome, PartitionReport,
 };
 pub use quality::partition_quality;

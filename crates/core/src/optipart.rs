@@ -32,11 +32,12 @@
 //!   cold path runs, byte-for-byte the same as [`optipart`].
 
 use crate::partition::{
-    exchange_and_sort, CountTable, PartitionOutcome, PartitionReport, SplitterSearch, PHASE_REFINE,
-    PHASE_SPLITTER,
+    exchange_and_sort, CountTable, PartitionOptions, PartitionOutcome, SearchSummary,
+    SplitterSearch, PHASE_REFINE, PHASE_SPLITTER,
 };
 use crate::quality::{partition_quality, Quality};
 use crate::treesort::bucket_populations;
+use optipart_mpisim::rng::mix;
 use optipart_mpisim::{AllToAllAlgo, DistVec, Engine};
 use optipart_sfc::{Curve, KeyedCell, SfcKey, MAX_DEPTH};
 
@@ -126,15 +127,16 @@ pub fn optipart<const D: usize>(
 /// and decision-for-decision. With a [`CountTable`] (holding the previous
 /// bucket tiling recounted on the current mesh) each refinement round asks
 /// the table first and only counts live below its resolution — identical
-/// counts, identical trajectory, cheaper clocks. Also returns the final
-/// bucket tiling `(path, level, count)` so the caller can cache it.
+/// counts, identical trajectory, cheaper clocks. Also returns what the
+/// caller caches: the search's report summary and the final bucket tiling
+/// `(path, level, count)`.
 #[allow(clippy::type_complexity)]
 fn optipart_run<const D: usize>(
     engine: &mut Engine,
     mut dist: DistVec<KeyedCell<D>>,
     opts: OptiPartOptions,
     table: Option<&CountTable>,
-) -> (PartitionOutcome<D>, Vec<(u128, u8, u64)>) {
+) -> (PartitionOutcome<D>, SearchSummary, Vec<(u128, u8, u64)>) {
     let p = engine.p();
     let (search, splitters, achieved, quality) = engine.phase(PHASE_SPLITTER, |engine| {
         let mut search = SplitterSearch::new(engine, &dist);
@@ -183,24 +185,15 @@ fn optipart_run<const D: usize>(
         let mut pending_cost = 0.0f64;
         let mut rung = opts.max_tolerance.max(0.0);
         loop {
-            // Refine until this rung's tolerance is met everywhere (staged
-            // by `max_split_per_round` when a budget is set, Eq. 2).
-            let tol_units = rung * (search.n as f64 / p as f64);
-            loop {
-                let mut split = search.pending_splits(p, tol_units, opts.max_level);
-                if split.is_empty() {
-                    break;
-                }
-                if let Some(k) = opts.max_split_per_round {
-                    split.truncate((k / (1 << D)).max(1));
-                }
-                let t_refine = engine.makespan();
-                engine.phase(PHASE_REFINE, |e| match table {
-                    Some(t) => search.refine_round_warm(e, &mut dist, &split, t),
-                    None => search.refine_round(e, &mut dist, &split),
-                });
-                pending_cost += engine.makespan() - t_refine;
-            }
+            // Distributed TreeSort to this rung's tolerance, resumed from
+            // the state the previous rung left.
+            let rung_opts = PartitionOptions {
+                tolerance: rung,
+                max_split_per_round: opts.max_split_per_round,
+                alltoall: opts.alltoall,
+                max_level: opts.max_level,
+            };
+            search.refine_to(engine, &mut dist, &rung_opts, table, &mut pending_cost);
             let (cand, cand_tol) = search.choose_splitters(p);
             // `pending_splits` returning empty already guarantees no
             // multi-target buckets and a feasible boundary set.
@@ -224,15 +217,6 @@ fn optipart_run<const D: usize>(
                     }
                     None => true,
                 };
-                // Trajectory dump for debugging dominance regressions
-                // (pairs with the testkit oracle's grid dump).
-                if std::env::var_os("OPTIPART_DEBUG").is_some() {
-                    eprintln!(
-                        "probe rung={rung:.2} cand_tol={cand_tol:.4} tp={:.6e} buckets={} improved={improved}",
-                        score(&q),
-                        search.buckets.len()
-                    );
-                }
                 engine.trace_decision(
                     "optipart.probe",
                     &[
@@ -284,40 +268,14 @@ fn optipart_run<const D: usize>(
         .collect();
 
     // Line 22–23: staged all-to-all + local TreeSort.
-    let out = exchange_and_sort(engine, dist, &splitters, opts.alltoall);
-
-    let counts: Vec<u64> = out.counts().iter().map(|&c| c as u64).collect();
-    let lambda = out.load_imbalance();
-    let wmax = out.wmax() as u64;
-    let outcome = PartitionOutcome {
-        dist: out,
-        splitters,
-        report: PartitionReport {
-            rounds: search.rounds,
-            splitter_level: search.max_level(),
-            achieved_tolerance: achieved,
-            counts,
-            lambda,
-            wmax,
-            cmax: quality.cmax,
-            predicted_tp: quality.tp,
-        },
-    };
-    (outcome, leaves)
-}
-
-/// SplitMix64-style finaliser used by the mesh signature and fingerprints.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let summary = search.summary(achieved, quality.cmax, quality.tp);
+    let outcome = exchange_and_sort(engine, dist, splitters, opts.alltoall, summary);
+    (outcome, summary, leaves)
 }
 
 /// Order-independent global mesh signature plus the global element count.
 ///
-/// Each element contributes `mix64` of its key, folded with a wrapping sum
+/// Each element contributes [`mix`] of its key, folded with a wrapping sum
 /// — commutative, so a permuted or differently-distributed copy of the same
 /// mesh fingerprints identically, and (unlike XOR) duplicated elements do
 /// not cancel out. One pass over the local data plus one scalar all-reduce;
@@ -336,7 +294,7 @@ fn mesh_signature<const D: usize>(
             let h = (path as u64)
                 ^ ((path >> 64) as u64).rotate_left(23)
                 ^ ((kc.key.level() as u64) << 56);
-            sig = sig.wrapping_add(mix64(h));
+            sig = sig.wrapping_add(mix(h));
         }
         (buf.len() as f64 * elem_bytes, (sig, buf.len() as u64))
     });
@@ -378,7 +336,7 @@ fn fingerprint(engine: &Engine, mesh_sig: u64, n: u64, opts: &OptiPartOptions) -
         perf.app.alpha.to_bits(),
         perf.app.elem_bytes.to_bits(),
     ] {
-        model = mix64(model ^ bits);
+        model = mix(model ^ bits);
     }
     // A hierarchy changes the quality scores (and thus possibly the ladder
     // trajectory), so it must invalidate cached entries. A degenerate
@@ -393,10 +351,10 @@ fn fingerprint(engine: &Engine, mesh_sig: u64, n: u64, opts: &OptiPartOptions) -
                 h.tw_intra.to_bits(),
                 h.nic_intra_j_per_byte.to_bits(),
             ] {
-                model = mix64(model ^ bits);
+                model = mix(model ^ bits);
             }
         }
-        None => model = mix64(model),
+        None => model = mix(model),
     }
     let mut o = 0u64;
     for v in [
@@ -407,7 +365,7 @@ fn fingerprint(engine: &Engine, mesh_sig: u64, n: u64, opts: &OptiPartOptions) -
         opts.latency_aware as u64,
         opts.patience as u64,
     ] {
-        o = mix64(o ^ v);
+        o = mix(o ^ v);
     }
     Fingerprint {
         mesh_sig,
@@ -426,57 +384,50 @@ fn fingerprint(engine: &Engine, mesh_sig: u64, n: u64, opts: &OptiPartOptions) -
 struct StateEntry {
     fp: Fingerprint,
     splitters: Vec<SfcKey>,
-    achieved: f64,
-    rounds: usize,
-    splitter_level: u8,
-    cmax: u64,
-    predicted_tp: f64,
+    summary: SearchSummary,
     leaves: Vec<(u128, u8, u64)>,
     payload_sig: u64,
 }
 
 impl StateEntry {
+    fn new(
+        fp: Fingerprint,
+        splitters: Vec<SfcKey>,
+        summary: SearchSummary,
+        leaves: Vec<(u128, u8, u64)>,
+    ) -> Self {
+        let mut e = StateEntry {
+            fp,
+            splitters,
+            summary,
+            leaves,
+            payload_sig: 0,
+        };
+        e.payload_sig = e.compute_payload_sig();
+        e
+    }
+
     fn compute_payload_sig(&self) -> u64 {
-        let mut h = mix64(self.fp.mesh_sig ^ self.fp.opts_sig.rotate_left(32));
+        let mut h = mix(self.fp.mesh_sig ^ self.fp.opts_sig.rotate_left(32));
         for s in &self.splitters {
-            h = mix64(h ^ (s.path() as u64));
-            h = mix64(h ^ ((s.path() >> 64) as u64) ^ ((s.level() as u64) << 32));
+            h = mix(h ^ (s.path() as u64));
+            h = mix(h ^ ((s.path() >> 64) as u64) ^ ((s.level() as u64) << 32));
         }
         for &(path, level, count) in &self.leaves {
-            h = mix64(h ^ (path as u64) ^ ((path >> 64) as u64).rotate_left(17));
-            h = mix64(h ^ count ^ ((level as u64) << 48));
+            h = mix(h ^ (path as u64) ^ ((path >> 64) as u64).rotate_left(17));
+            h = mix(h ^ count ^ ((level as u64) << 48));
         }
-        h = mix64(h ^ self.achieved.to_bits());
-        h = mix64(h ^ self.rounds as u64);
-        h = mix64(h ^ self.splitter_level as u64);
-        h = mix64(h ^ self.cmax);
-        h = mix64(h ^ self.predicted_tp.to_bits());
+        h = mix(h ^ self.summary.achieved_tolerance.to_bits());
+        h = mix(h ^ self.summary.rounds as u64);
+        h = mix(h ^ self.summary.splitter_level as u64);
+        h = mix(h ^ self.summary.cmax);
+        h = mix(h ^ self.summary.predicted_tp.to_bits());
         h
     }
 
     fn payload_ok(&self) -> bool {
         self.payload_sig == self.compute_payload_sig()
     }
-}
-
-fn entry_from<const D: usize>(
-    fp: Fingerprint,
-    outcome: &PartitionOutcome<D>,
-    leaves: Vec<(u128, u8, u64)>,
-) -> StateEntry {
-    let mut e = StateEntry {
-        fp,
-        splitters: outcome.splitters.clone(),
-        achieved: outcome.report.achieved_tolerance,
-        rounds: outcome.report.rounds,
-        splitter_level: outcome.report.splitter_level,
-        cmax: outcome.report.cmax,
-        predicted_tp: outcome.report.predicted_tp,
-        leaves,
-        payload_sig: 0,
-    };
-    e.payload_sig = e.compute_payload_sig();
-    e
 }
 
 /// Warm/cold decision counters accumulated by a [`PartitionState`] over its
@@ -575,17 +526,32 @@ impl PartitionState {
     /// Test hook: silently corrupt the most recent entry **without**
     /// updating its payload signature — the tamper the self-check must
     /// catch. Returns false when there is nothing to corrupt.
+    #[cfg(any(test, feature = "reference"))]
     pub fn corrupt_for_test(&mut self) -> bool {
         match self.entries.last_mut() {
             Some(e) => {
                 match e.splitters.first_mut() {
                     Some(s) => *s = SfcKey::from_parts(s.path() ^ 1, s.level()),
-                    None => e.cmax ^= 1,
+                    None => e.summary.cmax ^= 1,
                 }
                 true
             }
             None => false,
         }
+    }
+
+    /// Index of the newest entry whose fingerprint satisfies `matches`,
+    /// provided its payload self-check passes. A match that fails it was
+    /// tampered with: it is dropped and counted in `stats.rejected`, and
+    /// the caller falls through to a cold run.
+    fn trusted(&mut self, matches: impl Fn(&Fingerprint) -> bool) -> Option<usize> {
+        let i = self.entries.iter().rposition(|e| matches(&e.fp))?;
+        if self.entries[i].payload_ok() {
+            return Some(i);
+        }
+        self.entries.remove(i);
+        self.stats.rejected += 1;
+        None
     }
 
     /// Drops entries fingerprinted under a different rank count — the
@@ -690,118 +656,51 @@ pub fn optipart_with_state<const D: usize>(
     let (mesh_sig, n) = engine.phase(PHASE_SPLITTER, |e| mesh_signature(e, &mut dist));
     let fp = fingerprint(engine, mesh_sig, n, &opts);
 
-    let mut rejected = false;
-    if let Some(i) = state.entries.iter().rposition(|e| e.fp == fp) {
-        if state.entries[i].payload_ok() {
-            // Exact hit: same mesh, machine, α and options — the cold run
-            // is fully determined, so skip the ladder and replay its
-            // answer. The exchange still runs live on the actual data,
-            // which reproduces counts/λ/Wmax bit-identically.
-            state.stats.hits += 1;
-            trace_warm(engine, true, false, false, 0, pruned);
-            let entry = &state.entries[i];
-            let splitters = entry.splitters.clone();
-            let (achieved, rounds, splitter_level, cmax, predicted_tp) = (
-                entry.achieved,
-                entry.rounds,
-                entry.splitter_level,
-                entry.cmax,
-                entry.predicted_tp,
-            );
-            let out = exchange_and_sort(engine, dist, &splitters, opts.alltoall);
-            let counts: Vec<u64> = out.counts().iter().map(|&c| c as u64).collect();
-            let lambda = out.load_imbalance();
-            let wmax = out.wmax() as u64;
-            return PartitionOutcome {
-                dist: out,
-                splitters,
-                report: PartitionReport {
-                    rounds,
-                    splitter_level,
-                    achieved_tolerance: achieved,
-                    counts,
-                    lambda,
-                    wmax,
-                    cmax,
-                    predicted_tp,
-                },
-            };
-        }
-        // Fingerprint matches but the payload self-check fails: the entry
-        // was tampered with — drop it and fall through to a cold run.
-        state.entries.remove(i);
-        state.stats.rejected += 1;
-        rejected = true;
+    let rejected_before = state.stats.rejected;
+    if let Some(i) = state.trusted(|e| *e == fp) {
+        // Exact hit: same mesh, machine, α and options — the cold run is
+        // fully determined, so skip the ladder and replay its answer. The
+        // exchange still runs live on the actual data, which reproduces
+        // counts/λ/Wmax bit-identically.
+        state.stats.hits += 1;
+        trace_warm(engine, true, false, false, 0, pruned);
+        let entry = &state.entries[i];
+        let splitters = entry.splitters.clone();
+        return exchange_and_sort(engine, dist, splitters, opts.alltoall, entry.summary);
     }
-
-    if !rejected {
-        if let Some(i) = state.entries.iter().rposition(|e| e.fp.config_matches(&fp)) {
-            if state.entries[i].payload_ok() {
-                // Same configuration, changed mesh: replay the ladder with
-                // counts served from the previous tiling recounted on the
-                // current data.
-                state.stats.replays += 1;
-                let prev = state.entries[i].leaves.clone();
-                let (table, changed) =
-                    engine.phase(PHASE_REFINE, |e| recount_table(e, &mut dist, &prev));
-                trace_warm(engine, false, true, false, changed, pruned);
-                let (outcome, leaves) = optipart_run(engine, dist, opts, Some(&table));
-                state.store(entry_from(fp, &outcome, leaves));
-                return outcome;
-            }
-            state.entries.remove(i);
-            state.stats.rejected += 1;
-            rejected = true;
+    // A tampered exact match goes straight to the cold path.
+    let replay = if state.stats.rejected == rejected_before {
+        state.trusted(|e| e.config_matches(&fp))
+    } else {
+        None
+    };
+    let table = match replay {
+        Some(i) => {
+            // Same configuration, changed mesh: replay the ladder with
+            // counts served from the previous tiling recounted on the
+            // current data.
+            state.stats.replays += 1;
+            let prev = state.entries[i].leaves.clone();
+            let (table, changed) =
+                engine.phase(PHASE_REFINE, |e| recount_table(e, &mut dist, &prev));
+            trace_warm(engine, false, true, false, changed, pruned);
+            Some(table)
         }
-    }
-
-    state.stats.colds += 1;
-    trace_warm(engine, false, false, rejected, 0, pruned);
-    let (outcome, leaves) = optipart_run(engine, dist, opts, None);
-    state.store(entry_from(fp, &outcome, leaves));
+        None => {
+            state.stats.colds += 1;
+            let rejected = state.stats.rejected > rejected_before;
+            trace_warm(engine, false, false, rejected, 0, pruned);
+            None
+        }
+    };
+    let (outcome, summary, leaves) = optipart_run(engine, dist, opts, table.as_ref());
+    state.store(StateEntry::new(
+        fp,
+        outcome.splitters.clone(),
+        summary,
+        leaves,
+    ));
     outcome
-}
-
-/// Shrink-recovery repartitioning: runs OptiPart over the engine's current
-/// (post-[`Engine::shrink_after_death`]) survivor set from a globally sorted
-/// cell list — typically the restored checkpoint state.
-///
-/// The cells are block-distributed over the `p − 1` survivors first, then
-/// [`optipart`] rebalances them under the machine model exactly as at
-/// startup: the same machine-aware Eq. (3) search, now sized to the
-/// survivor machine (which may be heterogeneous if the fault plan also
-/// straggles ranks). All redistribution traffic is charged to the clocks
-/// and attributed to the usual partition phases.
-pub fn optipart_survivors<const D: usize>(
-    engine: &mut Engine,
-    cells: &[KeyedCell<D>],
-    opts: OptiPartOptions,
-) -> PartitionOutcome<D> {
-    debug_assert!(
-        cells.windows(2).all(|w| w[0].key <= w[1].key),
-        "optipart_survivors expects globally sorted cells"
-    );
-    let dist = DistVec::from_global(cells, engine.p());
-    optipart(engine, dist, opts)
-}
-
-/// [`optipart_survivors`] resuming from a [`PartitionState`]. Entries
-/// fingerprinted under the pre-death rank count fail the `p` check and are
-/// invalidated (`stats.invalidated`), so a shrink can never replay a
-/// partition sized for the dead configuration — the recovery repartition
-/// runs cold and re-seeds the state for the survivor machine.
-pub fn optipart_survivors_with_state<const D: usize>(
-    engine: &mut Engine,
-    cells: &[KeyedCell<D>],
-    opts: OptiPartOptions,
-    state: &mut PartitionState,
-) -> PartitionOutcome<D> {
-    debug_assert!(
-        cells.windows(2).all(|w| w[0].key <= w[1].key),
-        "optipart_survivors expects globally sorted cells"
-    );
-    let dist = DistVec::from_global(cells, engine.p());
-    optipart_with_state(engine, dist, opts, state)
 }
 
 #[cfg(test)]

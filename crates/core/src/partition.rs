@@ -12,6 +12,7 @@
 //! "iterating till the work is equally divided", as the paper notes).
 
 use crate::treesort::treesort;
+use optipart_mpisim::rng::SplitMix64;
 use optipart_mpisim::{AllToAllAlgo, DistVec, Engine};
 use optipart_octree::LinearTree;
 use optipart_sfc::{KeyedCell, SfcKey, MAX_DEPTH};
@@ -90,6 +91,35 @@ pub struct PartitionReport {
     pub predicted_tp: f64,
 }
 
+/// What a splitter search contributes to a [`PartitionReport`]: everything
+/// that is not read off the delivered data. Cached by the warm-start state,
+/// so an exact hit reports exactly what the cold run did.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SearchSummary {
+    pub rounds: usize,
+    pub splitter_level: u8,
+    pub achieved_tolerance: f64,
+    pub cmax: u64,
+    pub predicted_tp: f64,
+}
+
+impl PartitionReport {
+    /// The report of a delivered partition: counts, λ and `Wmax` come from
+    /// `out` itself, the rest from the search that chose the splitters.
+    pub(crate) fn new<const D: usize>(out: &DistVec<KeyedCell<D>>, search: SearchSummary) -> Self {
+        PartitionReport {
+            rounds: search.rounds,
+            splitter_level: search.splitter_level,
+            achieved_tolerance: search.achieved_tolerance,
+            counts: out.counts().iter().map(|&c| c as u64).collect(),
+            lambda: out.load_imbalance(),
+            wmax: out.wmax() as u64,
+            cmax: search.cmax,
+            predicted_tp: search.predicted_tp,
+        }
+    }
+}
+
 /// Outcome of a partitioning run: the redistributed, locally sorted data,
 /// the splitters that define ownership, and the report.
 #[derive(Clone, Debug)]
@@ -165,27 +195,40 @@ pub fn distribute_tree<const D: usize>(tree: &LinearTree<D>, p: usize) -> DistVe
 /// paper's §4.2 input class ("randomly generated octrees"), where the
 /// all-to-all exchange moves essentially all data.
 ///
-/// Deterministic Fisher–Yates driven by a SplitMix64 stream, so runs are
-/// reproducible without pulling a RNG dependency into the core crate.
+/// Deterministic Fisher–Yates driven by a [`SplitMix64`] stream, so runs
+/// are reproducible (the permutation per seed is pinned in
+/// `tests/determinism.rs`).
 pub fn distribute_shuffled<const D: usize>(
     tree: &LinearTree<D>,
     p: usize,
     seed: u64,
 ) -> DistVec<KeyedCell<D>> {
     let mut leaves = tree.leaves().to_vec();
-    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut rng = SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15);
     for i in (1..leaves.len()).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
+        let j = (rng.next_u64() % (i as u64 + 1)) as usize;
         leaves.swap(i, j);
     }
     DistVec::from_global(&leaves, p)
+}
+
+/// Places a new mesh's leaves where their region lived under the previous
+/// step's splitters — the start of an AMR redistribution, so migration
+/// volume is what a real AMR code would pay. With no previous step, the
+/// block distribution of [`distribute_tree`].
+pub fn distribute_by_splitters<const D: usize>(
+    tree: &LinearTree<D>,
+    p: usize,
+    prev: Option<&[SfcKey]>,
+) -> DistVec<KeyedCell<D>> {
+    let Some(splitters) = prev else {
+        return distribute_tree(tree, p);
+    };
+    let mut parts: Vec<Vec<KeyedCell<D>>> = (0..p).map(|_| Vec::new()).collect();
+    for kc in tree.leaves() {
+        parts[owner_of(splitters, &kc.key)].push(*kc);
+    }
+    DistVec::from_parts(parts)
 }
 
 /// One splitter-candidate bucket: the half-open key range of a subtree.
@@ -210,6 +253,12 @@ impl Bucket {
     #[inline]
     fn span<const D: usize>(&self) -> u128 {
         1u128 << ((MAX_DEPTH - self.level) as u32 * D as u32)
+    }
+
+    /// Key-path boundaries `(lo, hi, level)` of the subtree.
+    #[inline]
+    fn key_range<const D: usize>(&self) -> (u128, u128, u8) {
+        (self.path, self.path + self.span::<D>(), self.level)
     }
 
     /// The `2^D` children, in curve order.
@@ -313,34 +362,6 @@ impl SplitterSearch {
     /// Initial state: the root bucket holding everything.
     pub fn new<const D: usize>(engine: &mut Engine, dist: &DistVec<KeyedCell<D>>) -> Self {
         let local: Vec<u64> = dist.counts().iter().map(|&c| c as u64).collect();
-        let n = engine.allreduce_sum_u64(&local);
-        SplitterSearch {
-            buckets: vec![Bucket {
-                path: 0,
-                level: 0,
-                count: n,
-            }],
-            n,
-            rounds: 0,
-        }
-    }
-
-    /// Initial state with per-element weights: the bucket "counts" become
-    /// weight sums and targets become `r·W/p` — the weighted partitioning
-    /// used when octants carry non-uniform work (e.g. level-dependent
-    /// element cost in AMR codes, or the coarse-grid weighting of the
-    /// authors' earlier bottom-up scheme [Sundar et al. 2008]).
-    pub fn new_weighted<const D: usize, W>(
-        engine: &mut Engine,
-        dist: &mut DistVec<KeyedCell<D>>,
-        weight: &W,
-    ) -> Self
-    where
-        W: Fn(&KeyedCell<D>) -> u64 + Sync,
-    {
-        let local: Vec<u64> = engine.compute_map(dist, |_r, buf| {
-            (buf.len() as f64 * 8.0, buf.iter().map(weight).sum::<u64>())
-        });
         let n = engine.allreduce_sum_u64(&local);
         SplitterSearch {
             buckets: vec![Bucket {
@@ -493,93 +514,100 @@ impl SplitterSearch {
         force
     }
 
-    /// One refinement round: split the given buckets, recount via one
-    /// compute pass + one vector all-reduce. Returns the number of child
-    /// buckets counted (the reduction length, for Eq. 2's `k`).
+    /// Refines until every target is within `opts.tolerance` of a bucket
+    /// boundary (and the chooser has the boundaries it needs — see
+    /// [`Self::pending_splits`]), staged by `opts.max_split_per_round`
+    /// (Eq. 2). This is the one splitter-refinement loop: distributed
+    /// TreeSort runs it once, OptiPart once per rung of its tolerance
+    /// ladder on the same, monotonically refined state. Each round's
+    /// makespan delta is added to `cost`, round by round — the measured
+    /// search cost OptiPart's `amortize_over` rule weighs gains against.
+    pub fn refine_to<const D: usize>(
+        &mut self,
+        engine: &mut Engine,
+        dist: &mut DistVec<KeyedCell<D>>,
+        opts: &PartitionOptions,
+        table: Option<&CountTable>,
+        cost: &mut f64,
+    ) {
+        let p = engine.p();
+        let tol_units = opts.tolerance * (self.n as f64 / p as f64);
+        loop {
+            let mut split = self.pending_splits(p, tol_units, opts.max_level);
+            if split.is_empty() {
+                break;
+            }
+            if let Some(k) = opts.max_split_per_round {
+                // Staged selection: cap the reduction length per round.
+                split.truncate((k / (1 << D)).max(1));
+            }
+            let t0 = engine.makespan();
+            engine.phase(PHASE_REFINE, |e| self.refine_round(e, dist, &split, table));
+            *cost += engine.makespan() - t0;
+        }
+    }
+
+    /// One refinement round: split the given buckets and recount their
+    /// children. Counts the `table` can still resolve are served without
+    /// touching the element data; the rest — without a table, all of them —
+    /// pay one compute pass + one vector all-reduce (the warm replay thus
+    /// counts live only below the table's resolution, where the mesh
+    /// actually changed). The state transition is identical either way.
     pub fn refine_round<const D: usize>(
         &mut self,
         engine: &mut Engine,
         dist: &mut DistVec<KeyedCell<D>>,
         split: &[usize],
-    ) -> usize {
-        self.refine_round_weighted(engine, dist, split, &|_| 1u64)
-    }
-
-    /// [`SplitterSearch::refine_round`] with per-element weights.
-    pub fn refine_round_weighted<const D: usize, W>(
-        &mut self,
-        engine: &mut Engine,
-        dist: &mut DistVec<KeyedCell<D>>,
-        split: &[usize],
-        weight: &W,
-    ) -> usize
-    where
-        W: Fn(&KeyedCell<D>) -> u64 + Sync,
-    {
+        table: Option<&CountTable>,
+    ) {
         let nc = 1usize << D;
-        let bounds = self.split_bounds::<D>(split);
-        let elem_bytes = std::mem::size_of::<KeyedCell<D>>() as f64;
-        let local_counts: Vec<Vec<u64>> = engine.compute_map(dist, |_r, buf| {
-            // One pass over the local data (the tc·N/p term of Eq. 1).
-            (
-                buf.len() as f64 * elem_bytes,
-                count_children::<D, _>(buf, &bounds, weight),
-            )
-        });
-        let global = engine.allreduce_sum_vec_u64(&local_counts);
-        self.apply_split::<D>(split, &global);
-        bounds.len() * nc
-    }
-
-    /// Warm-replay variant of [`Self::refine_round`]: the identical state
-    /// transition, but child counts still resolvable from the recounted
-    /// `table` are served without touching the element data — only buckets
-    /// that descend below the table's resolution (the regions where the
-    /// mesh actually changed) pay the count pass + all-reduce. Returns the
-    /// number of child buckets counted live.
-    pub fn refine_round_warm<const D: usize>(
-        &mut self,
-        engine: &mut Engine,
-        dist: &mut DistVec<KeyedCell<D>>,
-        split: &[usize],
-        table: &CountTable,
-    ) -> usize {
-        let nc = 1usize << D;
-        let mut global = vec![0u64; split.len() * nc];
-        let mut live: Vec<usize> = Vec::new();
-        for (si, &bi) in split.iter().enumerate() {
-            match table.child_counts::<D>(&self.buckets[bi]) {
-                Some(counts) => global[si * nc..(si + 1) * nc].copy_from_slice(&counts),
-                None => live.push(si),
-            }
-        }
-        if !live.is_empty() {
-            let idx: Vec<usize> = live.iter().map(|&si| split[si]).collect();
-            let bounds = self.split_bounds::<D>(&idx);
+        let known: Vec<Option<Vec<u64>>> = match table {
+            Some(t) => split
+                .iter()
+                .map(|&bi| t.child_counts::<D>(&self.buckets[bi]))
+                .collect(),
+            None => Vec::new(),
+        };
+        let mut bounds: Vec<(u128, u128, u8)> = Vec::with_capacity(split.len());
+        bounds.extend(
+            split
+                .iter()
+                .enumerate()
+                .filter(|&(si, _)| known.get(si).is_none_or(Option::is_none))
+                .map(|(_, &bi)| self.buckets[bi].key_range::<D>()),
+        );
+        let mut global = Vec::new();
+        if !bounds.is_empty() {
             let elem_bytes = std::mem::size_of::<KeyedCell<D>>() as f64;
             let local_counts: Vec<Vec<u64>> = engine.compute_map(dist, |_r, buf| {
+                // One pass over the local data (the tc·N/p term of Eq. 1).
                 (
                     buf.len() as f64 * elem_bytes,
-                    count_children::<D, _>(buf, &bounds, &|_| 1u64),
+                    count_children::<D>(buf, &bounds),
                 )
             });
-            let counted = engine.allreduce_sum_vec_u64(&local_counts);
-            for (li, &si) in live.iter().enumerate() {
-                global[si * nc..(si + 1) * nc].copy_from_slice(&counted[li * nc..(li + 1) * nc]);
+            global = engine.allreduce_sum_vec_u64(&local_counts);
+        }
+        if !known.is_empty() {
+            // Interleave served and live-counted children in split order.
+            let mut counted = global.chunks_exact(nc);
+            let mut merged = Vec::with_capacity(split.len() * nc);
+            for k in &known {
+                merged.extend_from_slice(match k {
+                    Some(counts) => counts,
+                    None => counted.next().expect("one live chunk per unserved bucket"),
+                });
             }
+            global = merged;
         }
         self.apply_split::<D>(split, &global);
-        live.len() * nc
     }
 
     /// Key-path boundaries `(lo, hi, level)` of the buckets about to split.
     pub(crate) fn split_bounds<const D: usize>(&self, split: &[usize]) -> Vec<(u128, u128, u8)> {
         split
             .iter()
-            .map(|&bi| {
-                let b = self.buckets[bi];
-                (b.path, b.path + b.span::<D>(), b.level)
-            })
+            .map(|&bi| self.buckets[bi].key_range::<D>())
             .collect()
     }
 
@@ -668,22 +696,25 @@ impl SplitterSearch {
         (splitters, worst)
     }
 
-    /// Deepest active bucket level.
-    pub fn max_level(&self) -> u8 {
-        self.buckets.iter().map(|b| b.level).max().unwrap_or(0)
+    /// This search's share of the report, given what the chosen splitters
+    /// achieved and (if Algorithm 2 scored them) their `Cmax` and `Tp`.
+    pub fn summary(&self, achieved_tolerance: f64, cmax: u64, predicted_tp: f64) -> SearchSummary {
+        SearchSummary {
+            rounds: self.rounds,
+            splitter_level: self.buckets.iter().map(|b| b.level).max().unwrap_or(0),
+            achieved_tolerance,
+            cmax,
+            predicted_tp,
+        }
     }
 }
 
 /// Histogram of `buf` over the children of the buckets bounded by
-/// `bounds` (the local counting pass of one refinement round), weighted.
-pub(crate) fn count_children<const D: usize, W>(
+/// `bounds` (the local counting pass of one refinement round).
+pub(crate) fn count_children<const D: usize>(
     buf: &[KeyedCell<D>],
     bounds: &[(u128, u128, u8)],
-    weight: &W,
-) -> Vec<u64>
-where
-    W: Fn(&KeyedCell<D>) -> u64,
-{
+) -> Vec<u64> {
     let nc = 1usize << D;
     let mut counts = vec![0u64; bounds.len() * nc];
     for kc in buf.iter() {
@@ -702,49 +733,26 @@ where
         } else {
             kc.key.digit::<D>(lvl)
         };
-        counts[(si - 1) * nc + child] += weight(kc);
+        counts[(si - 1) * nc + child] += 1;
     }
     counts
 }
 
-/// Runs splitter selection only (no data movement) — shared by
-/// [`treesort_partition`] and benchmarks that study the splitter phase.
-pub(crate) fn select_splitters<const D: usize>(
-    engine: &mut Engine,
-    dist: &mut DistVec<KeyedCell<D>>,
-    opts: &PartitionOptions,
-) -> (SplitterSearch, Vec<SfcKey>, f64) {
-    let p = engine.p();
-    let mut search = SplitterSearch::new(engine, dist);
-    let tol_units = opts.tolerance * (search.n as f64 / p as f64);
-    loop {
-        let mut violating = search.pending_splits(p, tol_units, opts.max_level);
-        if violating.is_empty() {
-            break;
-        }
-        if let Some(k) = opts.max_split_per_round {
-            // Staged selection: cap the reduction length per round (Eq. 2).
-            let max_buckets = (k / (1 << D)).max(1);
-            violating.truncate(max_buckets);
-        }
-        engine.phase(PHASE_REFINE, |e| search.refine_round(e, dist, &violating));
-    }
-    let (splitters, achieved) = search.choose_splitters(p);
-    (search, splitters, achieved)
-}
-
-/// Moves every element to its owner under `splitters` and TreeSorts locally.
+/// Moves every element to its owner under `splitters`, TreeSorts locally
+/// and reports — the shared tail of distributed TreeSort, the OptiPart
+/// ladder and the warm exact hit (which passes its cached `search`).
 pub(crate) fn exchange_and_sort<const D: usize>(
     engine: &mut Engine,
     dist: DistVec<KeyedCell<D>>,
-    splitters: &[SfcKey],
+    splitters: Vec<SfcKey>,
     algo: AllToAllAlgo,
-) -> DistVec<KeyedCell<D>> {
-    audit_splitters(splitters, dist.total_len(), engine.p());
+    search: SearchSummary,
+) -> PartitionOutcome<D> {
+    audit_splitters(&splitters, dist.total_len(), engine.p());
     let recv = engine.phase(PHASE_ALL2ALL, |e| {
         e.alltoallv_by(
             dist.into_parts(),
-            |_src, kc: &KeyedCell<D>| owner_of(splitters, &kc.key),
+            |_src, kc: &KeyedCell<D>| owner_of(&splitters, &kc.key),
             algo,
         )
     });
@@ -759,7 +767,11 @@ pub(crate) fn exchange_and_sort<const D: usize>(
             buf.len() as f64 * elem * depth.max(1.0)
         });
     });
-    out
+    PartitionOutcome {
+        report: PartitionReport::new(&out, search),
+        dist: out,
+        splitters,
+    }
 }
 
 /// Distributed TreeSort partitioning (§3.1–3.2): flexible-tolerance splitter
@@ -769,91 +781,13 @@ pub fn treesort_partition<const D: usize>(
     mut dist: DistVec<KeyedCell<D>>,
     opts: PartitionOptions,
 ) -> PartitionOutcome<D> {
-    let (search, splitters, achieved) =
-        engine.phase(PHASE_SPLITTER, |e| select_splitters(e, &mut dist, &opts));
-    let out = exchange_and_sort(engine, dist, &splitters, opts.alltoall);
-
-    let counts: Vec<u64> = out.counts().iter().map(|&c| c as u64).collect();
-    let lambda = out.load_imbalance();
-    let wmax = out.wmax() as u64;
-    PartitionOutcome {
-        dist: out,
-        splitters,
-        report: PartitionReport {
-            rounds: search.rounds,
-            splitter_level: search.max_level(),
-            achieved_tolerance: achieved,
-            counts,
-            lambda,
-            wmax,
-            cmax: 0,
-            predicted_tp: 0.0,
-        },
-    }
-}
-
-/// Weighted distributed TreeSort partitioning: balances the *weight* of the
-/// elements (`Σ w` per rank within `tolerance·W/p`) instead of their count.
-///
-/// Use when octants carry non-uniform work — e.g. deeper AMR elements with
-/// costlier kernels, or coarse proxy octants standing in for many fine ones.
-/// The report's `counts`/`wmax`/`lambda` are expressed in weight units.
-pub fn treesort_partition_weighted<const D: usize, W>(
-    engine: &mut Engine,
-    mut dist: DistVec<KeyedCell<D>>,
-    opts: PartitionOptions,
-    weight: W,
-) -> PartitionOutcome<D>
-where
-    W: Fn(&KeyedCell<D>) -> u64 + Sync,
-{
-    let p = engine.p();
-    let (search, splitters, achieved) = engine.phase(PHASE_SPLITTER, |engine| {
-        let mut search = SplitterSearch::new_weighted(engine, &mut dist, &weight);
-        let tol_units = opts.tolerance * (search.n as f64 / p as f64);
-        loop {
-            let mut violating = search.pending_splits(p, tol_units, opts.max_level);
-            if violating.is_empty() {
-                break;
-            }
-            if let Some(k) = opts.max_split_per_round {
-                violating.truncate((k / (1 << D)).max(1));
-            }
-            search.refine_round_weighted(engine, &mut dist, &violating, &weight);
-        }
-        let (splitters, achieved) = search.choose_splitters(p);
-        (search, splitters, achieved)
+    let (splitters, search) = engine.phase(PHASE_SPLITTER, |e| {
+        let mut search = SplitterSearch::new(e, &dist);
+        search.refine_to(e, &mut dist, &opts, None, &mut 0.0);
+        let (splitters, achieved) = search.choose_splitters(e.p());
+        (splitters, search.summary(achieved, 0, 0.0))
     });
-    let out = exchange_and_sort(engine, dist, &splitters, opts.alltoall);
-
-    // Report in weight units.
-    let mut tmp = out.clone();
-    let weights: Vec<u64> = engine.compute_map(&mut tmp, |_r, buf| {
-        (buf.len() as f64 * 8.0, buf.iter().map(&weight).sum::<u64>())
-    });
-    let wmax = weights.iter().copied().max().unwrap_or(0);
-    let wmin = weights.iter().copied().min().unwrap_or(0);
-    let lambda = if wmax == 0 {
-        1.0
-    } else if wmin == 0 {
-        f64::INFINITY
-    } else {
-        wmax as f64 / wmin as f64
-    };
-    PartitionOutcome {
-        dist: out,
-        splitters,
-        report: PartitionReport {
-            rounds: search.rounds,
-            splitter_level: search.max_level(),
-            achieved_tolerance: achieved,
-            counts: weights,
-            lambda,
-            wmax,
-            cmax: 0,
-            predicted_tp: 0.0,
-        },
-    }
+    exchange_and_sort(engine, dist, splitters, opts.alltoall, search)
 }
 
 #[cfg(test)]
@@ -1036,65 +970,6 @@ mod tests {
         for (i, s) in out.splitters.iter().enumerate() {
             assert_eq!(owner_of(&out.splitters, s), i + 1);
         }
-    }
-
-    #[test]
-    fn weighted_partition_balances_weight_not_count() {
-        // Spatially skewed weights (e.g. a physics kernel that is 50x more
-        // expensive in one half of the domain): a weight-balanced partition
-        // must have near-equal weight per rank and therefore markedly
-        // *unequal* element counts.
-        let tree = mesh(3000, 91, Curve::Hilbert);
-        let p = 8;
-        let w = |kc: &KeyedCell<3>| -> u64 {
-            if kc.cell.anchor()[0] < 1 << 29 {
-                50
-            } else {
-                1
-            }
-        };
-        let mut e = engine(p);
-        let out = treesort_partition_weighted(
-            &mut e,
-            distribute_tree(&tree, p),
-            PartitionOptions::exact(),
-            w,
-        );
-        // Weight balance within a few percent.
-        assert!(out.report.lambda < 1.1, "weight λ = {}", out.report.lambda);
-        // Element counts are NOT balanced (they vary with local depth).
-        let counts = out.dist.counts();
-        let cmax = *counts.iter().max().unwrap() as f64;
-        let cmin = *counts.iter().min().unwrap() as f64;
-        assert!(
-            cmax / cmin > 2.0,
-            "element counts suspiciously equal: {counts:?}"
-        );
-        // Still a permutation in SFC order.
-        let mut expected: Vec<KeyedCell<3>> = tree.leaves().to_vec();
-        expected.sort_unstable();
-        assert_eq!(out.dist.concat(), expected);
-    }
-
-    #[test]
-    fn unit_weights_match_unweighted() {
-        let tree = mesh(1500, 93, Curve::Morton);
-        let p = 6;
-        let mut e1 = engine(p);
-        let a = treesort_partition(
-            &mut e1,
-            distribute_tree(&tree, p),
-            PartitionOptions::exact(),
-        );
-        let mut e2 = engine(p);
-        let b = treesort_partition_weighted(
-            &mut e2,
-            distribute_tree(&tree, p),
-            PartitionOptions::exact(),
-            |_| 1u64,
-        );
-        assert_eq!(a.splitters, b.splitters);
-        assert_eq!(a.dist.concat(), b.dist.concat());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! against TreeSort's count-based selection (Fig. 6).
 
 use crate::partition::{
-    owner_of, PartitionOutcome, PartitionReport, PHASE_ALL2ALL, PHASE_LOCAL_SORT, PHASE_SPLITTER,
+    owner_of, PartitionOutcome, PartitionReport, SearchSummary, PHASE_ALL2ALL, PHASE_LOCAL_SORT,
+    PHASE_SPLITTER,
 };
 use optipart_mpisim::{AllToAllAlgo, DistVec, Engine};
 use optipart_sfc::{KeyedCell, SfcKey};
@@ -99,22 +100,18 @@ pub fn samplesort_partition<const D: usize>(
         });
     });
 
-    let counts: Vec<u64> = out.counts().iter().map(|&c| c as u64).collect();
-    let lambda = out.load_imbalance();
-    let wmax = out.wmax() as u64;
+    // One sampling round, no bucket refinement, exact by construction.
+    let search = SearchSummary {
+        rounds: 1,
+        splitter_level: 0,
+        achieved_tolerance: 0.0,
+        cmax: 0,
+        predicted_tp: 0.0,
+    };
     PartitionOutcome {
+        report: PartitionReport::new(&out, search),
         dist: out,
         splitters,
-        report: PartitionReport {
-            rounds: 1,
-            splitter_level: 0,
-            achieved_tolerance: 0.0,
-            counts,
-            lambda,
-            wmax,
-            cmax: 0,
-            predicted_tp: 0.0,
-        },
     }
 }
 

@@ -39,7 +39,7 @@ pub fn threaded_treesort_partition<const D: usize>(
             violating.truncate((k / (1 << D)).max(1));
         }
         let bounds = search.split_bounds::<D>(&violating);
-        let local_counts = count_children::<D, _>(&local, &bounds, &|_| 1u64);
+        let local_counts = count_children::<D>(&local, &bounds);
         let global = comm.allreduce_sum_vec_u64(local_counts);
         search.apply_split::<D>(&violating, &global);
     }

@@ -14,12 +14,14 @@
 //! time and energy over the whole run — the end-to-end quantity OptiPart is
 //! supposed to minimise.
 
+use crate::driver::optipart_from;
 use crate::mesh::DistMesh;
-use optipart_core::optipart::{
-    optipart, optipart_with_state, OptiPartOptions, PartitionState, WarmStats,
+use crate::recovery::amr_simulation_ft;
+use optipart_core::optipart::{OptiPartOptions, PartitionState, WarmStats};
+use optipart_core::partition::{
+    distribute_by_splitters, owner_of, treesort_partition, PartitionOptions, PartitionOutcome,
 };
-use optipart_core::partition::{owner_of, treesort_partition, PartitionOptions, PartitionOutcome};
-use optipart_mpisim::{DistVec, Engine};
+use optipart_mpisim::{CheckpointPolicy, DistVec, Engine};
 use optipart_octree::{balance::balance21, LinearTree};
 use optipart_sfc::{Cell, Curve, KeyedCell, SfcKey, MAX_DEPTH};
 
@@ -63,7 +65,8 @@ pub struct AmrConfig {
     pub curve: Curve,
     /// Carry a [`PartitionState`] across steps so the OptiPart strategies
     /// warm-start each repartition (bit-identical to cold; see
-    /// [`optipart_with_state`]). Ignored by the TreeSort strategies.
+    /// [`optipart_core::optipart_with_state`]). Ignored by the TreeSort
+    /// strategies.
     pub warm_start: bool,
     /// LRU bound of the carried [`PartitionState`] (entries, not bytes);
     /// a loop cycling through `k` distinct meshes wants `state_cap ≥ k` to
@@ -142,102 +145,68 @@ pub fn step_mesh(t: usize, cfg: &AmrConfig) -> LinearTree<3> {
 }
 
 /// Runs the AMR loop on the engine and reports aggregate cost.
+///
+/// This is [`amr_simulation_ft`] with checkpointing off, projected onto
+/// the fault-free report: same loop, same charges, same trace. With nothing
+/// to restore from, a fail-stop death scheduled on the engine is
+/// unrecoverable here and panics — use the `_ft` driver with a real
+/// [`CheckpointPolicy`] for survivable runs.
 pub fn amr_simulation(engine: &mut Engine, cfg: &AmrConfig) -> AmrReport {
-    let p = engine.p();
-    engine.reset();
-    let mut steps = Vec::with_capacity(cfg.steps);
-    let mut prev_splitters: Option<Vec<SfcKey>> = None;
-    let mut warm = cfg
-        .warm_start
-        .then(|| PartitionState::with_cap(cfg.state_cap));
-    let mut total_ghosts = 0u64;
-    let mut energy_j = 0.0;
-
-    for t in 0..cfg.steps {
-        let t_start = engine.makespan();
-        let tree = step_mesh(t, cfg);
-        let n = tree.len();
-
-        // New elements start where their region lived last step: distribute
-        // by the previous splitters (first step: block distribution).
-        let input: DistVec<KeyedCell<3>> = match &prev_splitters {
-            None => DistVec::from_global(tree.leaves(), p),
-            Some(sp) => {
-                let mut parts: Vec<Vec<KeyedCell<3>>> = (0..p).map(|_| Vec::new()).collect();
-                for kc in tree.leaves() {
-                    parts[owner_of(sp, &kc.key)].push(*kc);
-                }
-                DistVec::from_parts(parts)
-            }
-        };
-
-        // Repartition; migration = elements that change rank.
-        let out: PartitionOutcome<3> = engine.phase("amr.partition", |e| {
-            partition_step(e, input, cfg, warm.as_mut())
-        });
-        // Count migrations: compare each element's final owner with where
-        // the block/previous distribution had put it. (Sequential check over
-        // the global view — measurement, not simulation.)
-        let mut migrated = 0u64;
-        {
-            let mut idx = 0usize;
-            for (r, buf) in out.dist.parts().iter().enumerate() {
-                for kc in buf {
-                    let was = match &prev_splitters {
-                        None => (idx * p / n.max(1)).min(p - 1),
-                        Some(sp) => owner_of(sp, &kc.key),
-                    };
-                    if was != r {
-                        migrated += 1;
-                    }
-                    idx += 1;
-                }
-            }
-        }
-
-        // Solve on the new partition.
-        let mesh = engine.phase("amr.mesh", |e| DistMesh::build(e, out.dist, cfg.curve));
-        let rep = engine.phase("amr.solve", |e| {
-            run_matvec_experiment_nonreset(e, &mesh, cfg.matvecs_per_step)
-        });
-        total_ghosts += rep.0;
-        energy_j = engine.energy_report().total_j;
-
-        engine.trace_decision(
-            "amr.step",
-            &[
-                ("step", t as f64),
-                ("elements", n as f64),
-                ("migrated", migrated as f64),
-                ("lambda", out.report.lambda),
-            ],
-        );
-
-        steps.push(AmrStep {
-            step: t,
-            elements: n,
-            migrated,
-            lambda: out.report.lambda,
-            seconds: engine.makespan() - t_start,
-        });
-        prev_splitters = Some(out.splitters);
-    }
-
+    let run = amr_simulation_ft(engine, cfg, CheckpointPolicy::Never);
     AmrReport {
-        steps,
-        total_seconds: engine.makespan(),
-        total_energy_j: energy_j,
-        total_ghosts,
-        warm: warm.map(|s| s.stats).unwrap_or_default(),
+        steps: run.steps,
+        total_seconds: run.total_seconds,
+        total_energy_j: run.total_energy_j,
+        total_ghosts: run.total_ghosts,
+        warm: run.warm,
     }
 }
 
-/// One step's repartition under `cfg.strategy` — shared between
-/// [`amr_simulation`] and the fail-stop recovery driver
-/// ([`crate::recovery::amr_simulation_ft`]). With `state`, the OptiPart
+/// The forward half of AMR step `t`: remesh around the moved front, start
+/// the new elements where their region lived last step, repartition under
+/// `cfg.strategy` and build the distributed mesh. Returns the mesh, the
+/// number of elements that changed rank, the partition's λ and its
+/// splitters (the next step's starting placement).
+pub(crate) fn amr_step(
+    engine: &mut Engine,
+    cfg: &AmrConfig,
+    t: usize,
+    prev_splitters: Option<&[SfcKey]>,
+    warm: Option<&mut PartitionState>,
+) -> (DistMesh<3>, u64, f64, Vec<SfcKey>) {
+    let p = engine.p();
+    let tree = step_mesh(t, cfg);
+    let n = tree.len();
+    let input = distribute_by_splitters(&tree, p, prev_splitters);
+    let out = engine.phase("amr.partition", |e| partition_step(e, input, cfg, warm));
+
+    // Migration = elements whose final owner differs from where the
+    // block/previous distribution had put them. (Sequential check over the
+    // global view — measurement, not simulation.)
+    let mut migrated = 0u64;
+    let mut idx = 0usize;
+    for (r, buf) in out.dist.parts().iter().enumerate() {
+        for kc in buf {
+            let was = match prev_splitters {
+                None => (idx * p / n.max(1)).min(p - 1),
+                Some(sp) => owner_of(sp, &kc.key),
+            };
+            if was != r {
+                migrated += 1;
+            }
+            idx += 1;
+        }
+    }
+
+    let lambda = out.report.lambda;
+    let mesh = engine.phase("amr.mesh", |e| DistMesh::build(e, out.dist, cfg.curve));
+    (mesh, migrated, lambda, out.splitters)
+}
+
+/// One step's repartition under `cfg.strategy`. With `state`, the OptiPart
 /// strategies resume from the previous step's ladder (the TreeSort
 /// strategies have no ladder and ignore it).
-pub(crate) fn partition_step(
+fn partition_step(
     e: &mut Engine,
     input: DistVec<KeyedCell<3>>,
     cfg: &AmrConfig,
@@ -252,40 +221,9 @@ pub(crate) fn partition_step(
         Strategy::Tolerance(tol) => {
             treesort_partition(e, input, PartitionOptions::with_tolerance(tol))
         }
-        Strategy::OptiPart => match state {
-            Some(st) => optipart_with_state(e, input, opti(false), st),
-            None => optipart(e, input, opti(false)),
-        },
-        Strategy::OptiPartLatencyAware => match state {
-            Some(st) => optipart_with_state(e, input, opti(true), st),
-            None => optipart(e, input, opti(true)),
-        },
+        Strategy::OptiPart => optipart_from(e, input, opti(false), state),
+        Strategy::OptiPartLatencyAware => optipart_from(e, input, opti(true), state),
     }
-}
-
-/// Like [`crate::driver::run_matvec_experiment`] but without resetting the
-/// engine, so the whole AMR run accumulates on one clock. Returns the ghost
-/// element count.
-fn run_matvec_experiment_nonreset<const D: usize>(
-    engine: &mut Engine,
-    mesh: &DistMesh<D>,
-    iters: usize,
-) -> (u64,) {
-    use crate::matvec::laplacian_matvec;
-    let mut x = DistVec::from_parts(
-        mesh.cells
-            .counts()
-            .iter()
-            .map(|&c| vec![1.0f64; c])
-            .collect(),
-    );
-    let mut ghosts = 0u64;
-    for _ in 0..iters {
-        let (y, stats) = laplacian_matvec(engine, mesh, &mut x);
-        ghosts += stats.ghost_elements;
-        x = y;
-    }
-    (ghosts,)
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! The §5.4 measurement driver: `k` matvecs on a given partition, reporting
 //! simulated time, per-node energy and traffic — the data behind Figs. 7–10.
 
-use crate::matvec::laplacian_matvec;
 use crate::mesh::DistMesh;
+use crate::recovery::run_matvec_ft;
 use optipart_core::optipart::{optipart, optipart_with_state, OptiPartOptions, PartitionState};
-use optipart_core::partition::{owner_of, PartitionOutcome};
+use optipart_core::partition::{distribute_by_splitters, PartitionOutcome};
 use optipart_machine::EnergyReport;
-use optipart_mpisim::{DistVec, Engine};
+use optipart_mpisim::{CheckpointPolicy, DistVec, Engine};
 use optipart_octree::LinearTree;
 use optipart_sfc::{KeyedCell, SfcKey};
 
@@ -55,16 +55,31 @@ pub fn initial_vector<const D: usize>(mesh: &DistMesh<D>) -> DistVec<f64> {
     )
 }
 
+/// OptiPart resuming from `state` when the caller carries one
+/// ([`optipart_with_state`]), cold otherwise — bit-identical outcomes
+/// either way; the state only changes what the search costs.
+pub(crate) fn optipart_from<const D: usize>(
+    engine: &mut Engine,
+    input: DistVec<KeyedCell<D>>,
+    opts: OptiPartOptions,
+    state: Option<&mut PartitionState>,
+) -> PartitionOutcome<D> {
+    match state {
+        Some(st) => optipart_with_state(engine, input, opts, st),
+        None => optipart(engine, input, opts),
+    }
+}
+
 /// Repartitions a sequence of meshes (successive AMR fronts) with OptiPart:
 /// each step's elements start where the previous step's splitters put their
 /// region (first step: block distribution), exactly as
 /// [`crate::amr::amr_simulation`] redistributes — but without the solve, so
 /// this is the pure repeated-partitioning cost an AMR run pays.
 ///
-/// With `state`, the ladder warm-starts from the previous step (bit-identical
-/// outcomes; see [`optipart_with_state`]); with `None` every step runs the
-/// full cold tolerance ladder. The two modes produce identical splitters —
-/// the amortized-cost benchmark compares only their partitioning cost.
+/// With `state`, the ladder warm-starts from the previous step; with `None`
+/// every step runs the full cold tolerance ladder. The two modes produce
+/// identical splitters — the amortized-cost benchmark compares only their
+/// partitioning cost.
 pub fn repartition_sequence<const D: usize>(
     engine: &mut Engine,
     steps: &[LinearTree<D>],
@@ -75,19 +90,9 @@ pub fn repartition_sequence<const D: usize>(
     let mut prev: Option<Vec<SfcKey>> = None;
     let mut outs = Vec::with_capacity(steps.len());
     for tree in steps {
-        let input: DistVec<KeyedCell<D>> = match &prev {
-            None => DistVec::from_global(tree.leaves(), p),
-            Some(sp) => {
-                let mut parts: Vec<Vec<KeyedCell<D>>> = (0..p).map(|_| Vec::new()).collect();
-                for kc in tree.leaves() {
-                    parts[owner_of(sp, &kc.key)].push(*kc);
-                }
-                DistVec::from_parts(parts)
-            }
-        };
-        let out = engine.phase("amr.partition", |e| match state.as_deref_mut() {
-            Some(st) => optipart_with_state(e, input, opts, st),
-            None => optipart(e, input, opts),
+        let input = distribute_by_splitters(tree, p, prev.as_deref());
+        let out = engine.phase("amr.partition", |e| {
+            optipart_from(e, input, opts, state.as_deref_mut())
         });
         prev = Some(out.splitters.clone());
         outs.push(out);
@@ -98,49 +103,23 @@ pub fn repartition_sequence<const D: usize>(
 /// Runs `iterations` Laplacian matvecs (`y ← A x; x ← y/‖y‖∞`-ish chain,
 /// keeping values bounded) and reports time, energy and traffic.
 ///
-/// The engine's clocks/energy are reset at entry so the report covers the
-/// matvec loop alone, matching the paper's measurement of the matvec phase.
+/// This is [`run_matvec_ft`] with checkpointing off, plus the engine
+/// read-outs the figures plot. The engine's clocks/energy are reset at
+/// entry so the report covers the matvec loop alone, matching the paper's
+/// measurement of the matvec phase. With nothing to restore from, a
+/// fail-stop death scheduled on the engine is unrecoverable here and
+/// panics — use the `_ft` driver with a real [`CheckpointPolicy`].
 pub fn run_matvec_experiment<const D: usize>(
     engine: &mut Engine,
     mesh: &DistMesh<D>,
     iterations: usize,
 ) -> MatvecExperiment {
-    engine.reset();
-    let mut x = initial_vector(mesh);
-
-    let mut ghost_elements = 0u64;
-    for it in 0..iterations {
-        let (y, stats) = engine.phase("matvec", |e| laplacian_matvec(e, mesh, &mut x));
-        ghost_elements += stats.ghost_elements;
-        x = y;
-        // Rescale occasionally so repeated application stays in range (the
-        // physics is irrelevant; only the compute/comm pattern matters).
-        if it % 10 == 9 {
-            engine.phase("rescale", |e| {
-                let max = e
-                    .allreduce_max_f64(
-                        &x.parts()
-                            .iter()
-                            .map(|b| b.iter().fold(0.0f64, |m, v| m.max(v.abs())))
-                            .collect::<Vec<_>>(),
-                    )
-                    .max(f64::MIN_POSITIVE);
-                e.compute(&mut x, |_r, buf| {
-                    for v in buf.iter_mut() {
-                        *v /= max;
-                    }
-                    buf.len() as f64 * 16.0
-                });
-            });
-        }
-    }
-
-    let energy = engine.energy_report();
+    let run = run_matvec_ft(engine, mesh, iterations, CheckpointPolicy::Never);
     MatvecExperiment {
         iterations,
-        seconds: engine.makespan(),
-        energy,
-        ghost_elements,
+        seconds: run.seconds,
+        energy: engine.energy_report(),
+        ghost_elements: run.ghost_elements,
         comm_nnz: engine.comm_matrix().map(|m| m.nnz()),
         bytes_total: engine.stats().bytes_total,
         rank_clocks: engine.clocks().to_vec(),

@@ -22,6 +22,11 @@
 //!   "iterative solvers … can all be represented as a series of matvecs").
 //! * [`driver`] — the §5.4 experiment: run `k` matvecs on a given partition
 //!   and report simulated time, per-node energy, and traffic.
+//! * [`amr`] — the repeated-partitioning scenario (§1): a refinement front
+//!   moving through the cube, remeshed, repartitioned and solved each step.
+//! * [`recovery`] — the two solve loops themselves, checkpointed and
+//!   fail-stop tolerant; the [`driver`] and [`amr`] entry points are these
+//!   loops with checkpointing off.
 //!
 //! Ghost discovery probes the `2^(D-1)` level-`l+1` sample points behind
 //! each face, which finds **all** face neighbours of a 2:1-balanced mesh

@@ -9,11 +9,12 @@
 //!    virtual clocks).
 //! 2. **Detect** — a scheduled kill makes the victim stop arriving at sync
 //!    points; survivors charge a detection timeout at the next collective and
-//!    the engine unwinds with a [`RankDeath`](optipart_mpisim::RankDeath),
-//!    caught here with [`catch_rank_death`].
-//! 3. **Shrink** — [`Engine::shrink_after_death`] drops the victim's slot:
-//!    the same engine continues as a `p − 1`-rank machine (original rank ids
-//!    are kept for fault factors, placement and trace tracks).
+//!    the engine unwinds with a [`RankDeath`](optipart_mpisim::RankDeath).
+//! 3. **Shrink** — each driver runs its loop body under
+//!    [`survive_rank_death`], which catches the unwind and drops the
+//!    victim's slot ([`Engine::shrink_after_death`]): the same engine
+//!    continues as a `p − 1`-rank machine (original rank ids are kept for
+//!    fault factors, placement and trace tracks).
 //! 4. **Restore + repartition** — survivors re-fetch the lost parts
 //!    (charged), globally re-run OptiPart over the survivor set, rebuild the
 //!    distributed mesh, and resume from the snapshot's progress label.
@@ -21,17 +22,19 @@
 //! Everything stays on the virtual BSP clock, so a faulted run with a fixed
 //! seed and kill schedule is bit-deterministic at any host thread count, and
 //! the recovery cost shows up in the critical path and model attribution.
+//!
+//! The fault-free drivers ([`crate::amr::amr_simulation`],
+//! [`crate::driver::run_matvec_experiment`]) are these loops under
+//! [`CheckpointPolicy::Never`]: with no death and nothing to checkpoint the
+//! recovery machinery charges nothing and emits nothing.
 
-use crate::amr::{partition_step, step_mesh, AmrConfig, AmrStep};
-use crate::driver::initial_vector;
+use crate::amr::{amr_step, AmrConfig, AmrStep};
+use crate::driver::{initial_vector, optipart_from};
 use crate::matvec::laplacian_matvec;
 use crate::mesh::DistMesh;
-use optipart_core::optipart::{
-    optipart_survivors, optipart_survivors_with_state, OptiPartOptions, PartitionState, WarmStats,
-};
-use optipart_core::partition::owner_of;
+use optipart_core::optipart::{OptiPartOptions, PartitionState, WarmStats};
 use optipart_mpisim::{
-    catch_rank_death, CheckpointPolicy, CheckpointStats, CheckpointStore, DistVec, Engine,
+    survive_rank_death, CheckpointPolicy, CheckpointStats, CheckpointStore, DistVec, Engine,
     Replicated,
 };
 use optipart_sfc::{Curve, KeyedCell, SfcKey};
@@ -134,7 +137,8 @@ pub struct FtAmrReport {
     pub warm: WarmStats,
 }
 
-/// `‖x‖∞` rescale as in [`crate::driver::run_matvec_experiment`] — an
+/// `‖x‖∞` rescale keeping the repeated matvec chain in range (the physics
+/// is irrelevant; only the compute/comm pattern matters) — an
 /// order-independent max-reduction, so the result is partition-invariant.
 fn rescale(e: &mut Engine, x: &mut DistVec<f64>) {
     let max = e
@@ -177,11 +181,14 @@ fn global_solution<const D: usize>(mesh: &DistMesh<D>, x: &DistVec<f64>) -> Vec<
     out
 }
 
-/// The shared tail of a recovery: re-run OptiPart over the survivor set
-/// (warm-started when a [`PartitionState`] is threaded through — the rank
-/// count changed, so its entries are invalidated and the repartition runs
-/// cold, re-seeding the cache for the shrunk machine), rebuild the mesh,
-/// and re-scatter the solver vector onto the new partition by octant key.
+/// The shared tail of a recovery: block-distribute the restored (globally
+/// sorted) cells over the survivors and re-run OptiPart exactly as at
+/// startup — the same machine-aware Eq. (3) search, now sized to the
+/// survivor machine. Warm-started when a [`PartitionState`] is threaded
+/// through: the rank count changed, so its entries are invalidated and the
+/// repartition runs cold, re-seeding the cache for the shrunk machine.
+/// Then rebuild the mesh and re-scatter the solver vector onto the new
+/// partition by octant key.
 fn repartition_survivors<const D: usize>(
     engine: &mut Engine,
     cells: &[KeyedCell<D>],
@@ -189,11 +196,13 @@ fn repartition_survivors<const D: usize>(
     curve: Curve,
     warm: Option<&mut PartitionState>,
 ) -> (DistMesh<D>, DistVec<f64>, f64) {
+    debug_assert!(
+        cells.windows(2).all(|w| w[0].key <= w[1].key),
+        "a restored snapshot concatenates to globally sorted cells"
+    );
+    let input = DistVec::from_global(cells, engine.p());
     let opts = OptiPartOptions::for_curve(curve);
-    let out = engine.phase("ft.partition", |e| match warm {
-        Some(st) => optipart_survivors_with_state(e, cells, opts, st),
-        None => optipart_survivors(e, cells, opts),
-    });
+    let out = engine.phase("ft.partition", |e| optipart_from(e, input, opts, warm));
     let lambda = out.report.lambda;
     let mesh = engine.phase("ft.mesh", |e| DistMesh::build(e, out.dist, curve));
     let keys: Vec<SfcKey> = cells.iter().map(|kc| kc.key).collect();
@@ -296,54 +305,44 @@ pub fn run_matvec_ft<const D: usize>(
     let mut ghosts = 0u64;
 
     // A death anywhere — in the solve loop *or inside a recovery's own
-    // collectives* — lands in a `catch_rank_death`; `needs_recovery` makes
-    // the loop retry the recovery until it completes on a live survivor set.
-    let mut needs_recovery = false;
+    // collectives* — ends the pass; the next pass starts by recovering, and
+    // is itself retried until it completes on a live survivor set.
+    let mut recovering = false;
     loop {
-        if needs_recovery {
-            match catch_rank_death(|| recover(engine, &mut store, curve, &mut warm)) {
-                Ok((label, new_mesh, new_x, _lambda, recovery_s)) => {
-                    let d = deaths.last_mut().expect("recovery follows a death");
-                    d.resumed_from = label;
-                    d.lost_units = next_it - label;
-                    d.recovery_s += recovery_s;
-                    next_it = label;
-                    x = new_x;
-                    owned_mesh = Some(new_mesh);
-                    needs_recovery = false;
-                }
-                Err(death) => {
-                    engine.shrink_after_death();
-                    deaths.push(DeathRecord::detected(&death));
-                }
+        let pass = survive_rank_death(engine, |engine| {
+            if recovering {
+                let (label, new_mesh, new_x, _lambda, recovery_s) =
+                    recover(engine, &mut store, curve, &mut warm);
+                let d = deaths.last_mut().expect("recovery follows a death");
+                d.resumed_from = label;
+                d.lost_units = next_it - label;
+                d.recovery_s += recovery_s;
+                next_it = label;
+                x = new_x;
+                owned_mesh = Some(new_mesh);
+                recovering = false;
             }
-            continue;
-        }
-        let res = {
             let m = owned_mesh.as_ref().unwrap_or(mesh);
-            catch_rank_death(|| {
-                while next_it < total {
-                    if store.due(engine) {
-                        let state = (m.cells.clone(), x.clone());
-                        engine.phase("ft.checkpoint", |e| store.save(e, next_it, &state));
-                    }
-                    let it = next_it;
-                    let (y, stats) = engine.phase("matvec", |e| laplacian_matvec(e, m, &mut x));
-                    ghosts += stats.ghost_elements;
-                    x = y;
-                    if it % 10 == 9 {
-                        engine.phase("rescale", |e| rescale(e, &mut x));
-                    }
-                    next_it = it + 1;
+            while next_it < total {
+                if store.due(engine) {
+                    let state = (m.cells.clone(), x.clone());
+                    engine.phase("ft.checkpoint", |e| store.save(e, next_it, &state));
                 }
-            })
-        };
-        match res {
+                let it = next_it;
+                let (y, stats) = engine.phase("matvec", |e| laplacian_matvec(e, m, &mut x));
+                ghosts += stats.ghost_elements;
+                x = y;
+                if it % 10 == 9 {
+                    engine.phase("rescale", |e| rescale(e, &mut x));
+                }
+                next_it = it + 1;
+            }
+        });
+        match pass {
             Ok(()) => break,
             Err(death) => {
-                engine.shrink_after_death();
                 deaths.push(DeathRecord::detected(&death));
-                needs_recovery = true;
+                recovering = true;
             }
         }
     }
@@ -388,148 +387,99 @@ pub fn amr_simulation_ft(
         .warm_start
         .then(|| PartitionState::with_cap(cfg.state_cap));
     let mut prev_splitters: Option<Vec<SfcKey>> = None;
-    // A restored step: mesh + solver vector + recovery partition's lambda.
-    let mut recovered: Option<(DistMesh<3>, DistVec<f64>, f64)> = None;
-    let mut last: Option<(DistMesh<3>, DistVec<f64>)> = None;
+    let mut solution = Vec::new();
     let mut total_ghosts = 0u64;
     let mut t = 0usize;
 
-    // Like [`run_matvec_ft`], a death during a recovery's own collectives is
-    // survived too: the rollback is retried until it completes.
+    // Like [`run_matvec_ft`]: a death ends the pass at the step it struck
+    // (`rollback_from`), and the next pass starts by rolling back — retried
+    // until it completes, so a death during a recovery's own collectives is
+    // survived too.
     let mut rollback_from: Option<u64> = None;
     while t < cfg.steps {
-        if let Some(before) = rollback_from {
-            match catch_rank_death(|| recover_amr(engine, &mut store, cfg.curve, warm.as_mut())) {
-                Ok((label, mesh, x, lambda, recovery_s)) => {
-                    let d = deaths.last_mut().expect("recovery follows a death");
-                    d.resumed_from = label;
-                    d.lost_units = before - label;
-                    d.recovery_s += recovery_s;
-                    t = label as usize;
-                    prev_splitters = Some(mesh.splitters.clone());
-                    recovered = Some((mesh, x, lambda));
-                    rollback_from = None;
+        let pass = survive_rank_death(engine, |engine| {
+            let recovered = rollback_from.take().map(|before| {
+                let (label, mesh, x, lambda, recovery_s) =
+                    recover_amr(engine, &mut store, cfg.curve, warm.as_mut());
+                let d = deaths.last_mut().expect("recovery follows a death");
+                d.resumed_from = label;
+                d.lost_units = before - label;
+                d.recovery_s += recovery_s;
+                t = label as usize;
+                prev_splitters = Some(mesh.splitters.clone());
+                (mesh, x, lambda)
+            });
+
+            let t_start = engine.makespan();
+            let (mesh, x0, migrated, lambda) = match recovered {
+                // Rolled back: the recovery already rebuilt this step's
+                // partition over the survivors — go straight to the solve.
+                Some((mesh, x, lambda)) => (mesh, x, 0u64, lambda),
+                None => {
+                    let (mesh, migrated, lambda, splitters) =
+                        amr_step(engine, cfg, t, prev_splitters.as_deref(), warm.as_mut());
+                    // (A death later in this step rolls back, which resets
+                    // the placement to the recovered mesh's splitters.)
+                    prev_splitters = Some(splitters);
+                    let x = ones(&mesh);
+                    (mesh, x, migrated, lambda)
                 }
-                Err(death) => {
-                    engine.shrink_after_death();
-                    deaths.push(DeathRecord::detected(&death));
-                }
-            }
-            continue;
-        }
-        let res = {
-            let sp = &prev_splitters;
-            catch_rank_death(|| {
-                let p = engine.p();
-                let t_start = engine.makespan();
-                let (mesh, x0, migrated, lambda, new_splitters) = match recovered.take() {
-                    // Rolled back: the recovery already rebuilt this step's
-                    // partition over the survivors — go straight to the solve.
-                    Some((mesh, x, lambda)) => (mesh, x, 0u64, lambda, None),
-                    None => {
-                        let tree = step_mesh(t, cfg);
-                        let n = tree.len();
-                        let input: DistVec<KeyedCell<3>> = match sp {
-                            None => DistVec::from_global(tree.leaves(), p),
-                            Some(spl) => {
-                                let mut parts: Vec<Vec<KeyedCell<3>>> =
-                                    (0..p).map(|_| Vec::new()).collect();
-                                for kc in tree.leaves() {
-                                    parts[owner_of(spl, &kc.key)].push(*kc);
-                                }
-                                DistVec::from_parts(parts)
-                            }
-                        };
-                        let out = engine.phase("amr.partition", |e| {
-                            partition_step(e, input, cfg, warm.as_mut())
-                        });
-                        let mut migrated = 0u64;
-                        let mut idx = 0usize;
-                        for (r, buf) in out.dist.parts().iter().enumerate() {
-                            for kc in buf {
-                                let was = match sp {
-                                    None => (idx * p / n.max(1)).min(p - 1),
-                                    Some(spl) => owner_of(spl, &kc.key),
-                                };
-                                if was != r {
-                                    migrated += 1;
-                                }
-                                idx += 1;
-                            }
-                        }
-                        let lambda = out.report.lambda;
-                        let splitters = out.splitters.clone();
-                        let mesh =
-                            engine.phase("amr.mesh", |e| DistMesh::build(e, out.dist, cfg.curve));
-                        let x = ones(&mesh);
-                        (mesh, x, migrated, lambda, Some(splitters))
-                    }
-                };
-                if store.due(engine) {
-                    // The warm-start cache snapshots alongside the data it
-                    // was derived from (zero wire bytes when warm-start is
-                    // off — the wrapper still keeps the state type uniform).
-                    let cache = warm.clone().unwrap_or_default();
-                    let bytes = warm.as_ref().map_or(0, |w| w.footprint_bytes());
-                    let state = (
-                        mesh.cells.clone(),
-                        x0.clone(),
-                        Replicated::new(cache, bytes, p),
-                    );
-                    engine.phase("ft.checkpoint", |e| store.save(e, t as u64, &state));
-                }
-                let (x, ghosts) = engine.phase("amr.solve", |e| {
-                    let mut x = x0;
-                    let mut g = 0u64;
-                    for _ in 0..cfg.matvecs_per_step {
-                        let (y, stats) = laplacian_matvec(e, &mesh, &mut x);
-                        g += stats.ghost_elements;
-                        x = y;
-                    }
-                    (x, g)
-                });
-                let elements = mesh.cells.total_len();
-                engine.trace_decision(
-                    "amr.step",
-                    &[
-                        ("step", t as f64),
-                        ("elements", elements as f64),
-                        ("migrated", migrated as f64),
-                        ("lambda", lambda),
-                    ],
+            };
+            if store.due(engine) {
+                // The warm-start cache snapshots alongside the data it
+                // was derived from (zero wire bytes when warm-start is
+                // off — the wrapper still keeps the state type uniform).
+                let cache = warm.clone().unwrap_or_default();
+                let bytes = warm.as_ref().map_or(0, |w| w.footprint_bytes());
+                let state = (
+                    mesh.cells.clone(),
+                    x0.clone(),
+                    Replicated::new(cache, bytes, engine.p()),
                 );
-                let step = AmrStep {
-                    step: t,
-                    elements,
-                    migrated,
-                    lambda,
-                    seconds: engine.makespan() - t_start,
-                };
-                (step, mesh, x, ghosts, new_splitters)
-            })
-        };
-        match res {
-            Ok((step, mesh, x, ghosts, new_splitters)) => {
-                total_ghosts += ghosts;
-                steps.push(step);
-                if let Some(spl) = new_splitters {
-                    prev_splitters = Some(spl);
+                engine.phase("ft.checkpoint", |e| store.save(e, t as u64, &state));
+            }
+            let (x, ghosts) = engine.phase("amr.solve", |e| {
+                let mut x = x0;
+                let mut g = 0u64;
+                for _ in 0..cfg.matvecs_per_step {
+                    let (y, stats) = laplacian_matvec(e, &mesh, &mut x);
+                    g += stats.ghost_elements;
+                    x = y;
                 }
-                last = Some((mesh, x));
-                t += 1;
+                (x, g)
+            });
+            let elements = mesh.cells.total_len();
+            engine.trace_decision(
+                "amr.step",
+                &[
+                    ("step", t as f64),
+                    ("elements", elements as f64),
+                    ("migrated", migrated as f64),
+                    ("lambda", lambda),
+                ],
+            );
+
+            // The step is complete: commit it. Only the final step's
+            // solution is kept — no mesh outlives its step.
+            total_ghosts += ghosts;
+            steps.push(AmrStep {
+                step: t,
+                elements,
+                migrated,
+                lambda,
+                seconds: engine.makespan() - t_start,
+            });
+            t += 1;
+            if t == cfg.steps {
+                solution = global_solution(&mesh, &x);
             }
-            Err(death) => {
-                engine.shrink_after_death();
-                deaths.push(DeathRecord::detected(&death));
-                rollback_from = Some(t as u64);
-            }
+        });
+        if let Err(death) = pass {
+            deaths.push(DeathRecord::detected(&death));
+            rollback_from = Some(t as u64);
         }
     }
 
-    let solution = match &last {
-        Some((mesh, x)) => global_solution(mesh, x),
-        None => Vec::new(),
-    };
     let lost_steps = deaths.iter().map(|d| d.lost_units).sum();
     FtAmrReport {
         steps,

@@ -29,6 +29,7 @@
 //! of how many unrelated events ran before: the same plan replays the same
 //! faults, always.
 
+use crate::engine::Engine;
 use crate::rng::{self, SplitMix64};
 use std::fmt;
 use std::str::FromStr;
@@ -313,6 +314,18 @@ pub fn catch_rank_death<R>(f: impl FnOnce() -> R) -> Result<R, RankDeath> {
             Err(other) => std::panic::resume_unwind(other),
         },
     }
+}
+
+/// [`catch_rank_death`] plus the shrink every caller must follow it with:
+/// runs `f` on the engine and, if a rank dies inside it, resolves the death
+/// with [`Engine::shrink_after_death`] before returning it — so on `Err`
+/// the engine is already the live `p − 1`-rank machine and the caller only
+/// decides what to restore and retry.
+pub fn survive_rank_death<R>(
+    engine: &mut Engine,
+    f: impl FnOnce(&mut Engine) -> R,
+) -> Result<R, RankDeath> {
+    catch_rank_death(|| f(engine)).map_err(|_| engine.shrink_after_death())
 }
 
 /// Silences the default panic message for [`RankDeath`] payloads only;

@@ -62,9 +62,10 @@
 //! ([`FaultPlan::with_rank_failures`], [`FaultPlan::kill_rank`]): the
 //! victim stops arriving at synchronisation points, survivors detect the
 //! death at the next collective after a timeout charge, and the engine
-//! unwinds with a [`RankDeath`] payload. Drivers catch it with
-//! [`catch_rank_death`], call [`Engine::shrink_after_death`] to continue as
-//! a `p − 1`-rank machine, restore app state from a [`CheckpointStore`]
+//! unwinds with a [`RankDeath`] payload. Drivers run their work under
+//! [`survive_rank_death`] ([`catch_rank_death`], then
+//! [`Engine::shrink_after_death`] to continue as a `p − 1`-rank machine),
+//! restore app state from a [`CheckpointStore`]
 //! (in-memory partner checkpointing, [`checkpoint`] module), repartition
 //! over the survivors, and re-run lost work — every recovery cost lands on
 //! the virtual clocks and in the critical path. See DESIGN.md §11.
@@ -85,6 +86,6 @@ pub use checkpoint::{
 pub use collectives::{AllToAllAlgo, AlltoallvArena};
 pub use dist::DistVec;
 pub use engine::{Engine, TimeMode};
-pub use faults::{catch_rank_death, FaultPlan, RankDeath, RankFaults};
+pub use faults::{catch_rank_death, survive_rank_death, FaultPlan, RankDeath, RankFaults};
 pub use optipart_trace::{CriticalPath, ModelAttribution, PathKind, Profile, Tracer};
 pub use stats::{CommMatrix, RunStats};

@@ -22,10 +22,10 @@
 //!    request with the *same key* and serves them all with one engine pass
 //!    (`ServeConfig::batching`).
 //! 4. **Serve** — [`run_request`] runs `optipart_with_state` on the
-//!    worker's per-`p` state; a fail-stop rank death unwinds into
-//!    `shrink_after_death` + `optipart_survivors_with_state` retry, looping
-//!    until the survivors complete (the PR 3 recovery discipline, inline in
-//!    the server).
+//!    worker's per-`p` state under `survive_rank_death`; a fail-stop rank
+//!    death shrinks the engine and the same call is retried over the
+//!    survivors, looping until a pass completes (the PR 3 recovery
+//!    discipline, inline in the server).
 //! 5. **Deadline** — each request may carry a budget in *virtual* seconds;
 //!    the response is flagged `deadline` when the serving pass's makespan
 //!    exceeds it. Warm hits skip the ladder, so a warm server meets budgets
@@ -50,11 +50,10 @@ pub mod soak;
 pub use protocol::{Request, Response, Status, WarmPath};
 pub use server::{Admission, Admit, ConnStats, Ingress, ServeConfig, Server, ServerStats};
 
-use optipart_core::optipart::{
-    optipart_survivors_with_state, optipart_with_state, OptiPartOptions, PartitionState,
-};
+use optipart_core::optipart::{optipart_with_state, OptiPartOptions, PartitionState};
 use optipart_core::partition::{distribute_tree, PartitionOutcome};
-use optipart_mpisim::{catch_rank_death, Engine};
+use optipart_mpisim::rng;
+use optipart_mpisim::{survive_rank_death, Engine};
 use optipart_scenario::Scenario;
 
 /// The bit-identity surface of a response: everything a direct library call
@@ -88,13 +87,9 @@ pub struct Payload {
     pub predicted_tp: f64,
 }
 
-/// SplitMix64 finalizer — the payload signature mixer.
+/// The payload signature's order-sensitive fold step.
 fn mix(h: u64, x: u64) -> u64 {
-    let mut z = h ^ x.rotate_left(23);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    rng::mix(h ^ x.rotate_left(23))
 }
 
 /// OptiPart options induced by a scenario: the scenario's tolerance is the
@@ -166,32 +161,16 @@ pub fn run_request(
     let tree = scn.build_tree();
     let opts = optipart_options(scn);
     let mut deaths = 0u32;
-    let first = catch_rank_death(|| {
-        let dist = distribute_tree(&tree, engine.p());
-        optipart_with_state(engine, dist, opts, state)
-    });
-    let mut out = match first {
-        Ok(o) => Some(o),
-        Err(_) => {
-            engine.shrink_after_death();
-            deaths += 1;
-            None
+    let out = loop {
+        let pass = survive_rank_death(engine, |e| {
+            optipart_with_state(e, distribute_tree(&tree, e.p()), opts, state)
+        });
+        match pass {
+            Ok(out) => break out,
+            Err(_) => deaths += 1,
         }
     };
-    while out.is_none() {
-        out = match catch_rank_death(|| {
-            optipart_survivors_with_state(engine, tree.leaves(), opts, state)
-        }) {
-            Ok(o) => Some(o),
-            Err(_) => {
-                engine.shrink_after_death();
-                deaths += 1;
-                None
-            }
-        };
-    }
-    let o = out.expect("partition completed");
-    let payload = payload_of(&o, deaths, engine.p());
+    let payload = payload_of(&out, deaths, engine.p());
     (payload, engine.makespan())
 }
 

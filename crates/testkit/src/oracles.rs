@@ -20,7 +20,8 @@ use crate::scenario::{HierKind, NamedCheck, Scenario, Workload};
 use crate::{tk_assert, tk_assert_eq};
 use optipart_core::optipart::{optipart_with_state, PartitionState};
 use optipart_core::partition::{
-    audit_splitters, distribute_shuffled, distribute_tree, owner_of, treesort_partition,
+    audit_splitters, distribute_by_splitters, distribute_shuffled, distribute_tree, owner_of,
+    treesort_partition,
 };
 use optipart_core::quality::partition_quality;
 use optipart_core::samplesort::{samplesort_partition, SampleSortOptions};
@@ -34,7 +35,7 @@ use optipart_fem::amr::{step_mesh, AmrConfig};
 use optipart_fem::{run_matvec_ft, DistMesh};
 use optipart_mpisim::rng::SplitMix64;
 use optipart_mpisim::{
-    threaded, AllToAllAlgo, AlltoallvArena, CheckpointPolicy, DistVec, Engine, FaultPlan,
+    threaded, AllToAllAlgo, AlltoallvArena, CheckpointPolicy, Engine, FaultPlan,
 };
 use optipart_octree::LinearTree;
 use optipart_sfc::{KeyedCell, SfcKey};
@@ -458,17 +459,8 @@ pub fn warm_vs_cold(scn: &Scenario) {
 
     // Elements start where the previous step's splitters put their region —
     // the same redistribution policy as `fem::amr_simulation`.
-    let input_for = |prev: &Option<Vec<SfcKey>>, tree: &LinearTree<3>| -> DistVec<KeyedCell<3>> {
-        match prev {
-            None => DistVec::from_global(tree.leaves(), p),
-            Some(sp) => {
-                let mut parts: Vec<Vec<KeyedCell<3>>> = (0..p).map(|_| Vec::new()).collect();
-                for kc in tree.leaves() {
-                    parts[owner_of(sp, &kc.key)].push(*kc);
-                }
-                DistVec::from_parts(parts)
-            }
-        }
+    let input_for = |prev: &Option<Vec<SfcKey>>, tree: &LinearTree<3>| {
+        distribute_by_splitters(tree, p, prev.as_deref())
     };
 
     let assert_identical =
@@ -697,7 +689,8 @@ const OPTIPART_SLACK_ADVERSARIAL: f64 = 2.0;
 pub fn optipart_bruteforce(scn: &Scenario) {
     let tree = scn.build_tree();
     let p = scn.p;
-    let mut e = scn.engine();
+    // Traced, so a failure can print the ladder's `optipart.probe` decisions.
+    let mut e = scn.engine().with_tracing();
     let chosen = optipart(
         &mut e,
         distribute_shuffled(&tree, p, scn.shuffle_seed(3)),
@@ -730,12 +723,6 @@ pub fn optipart_bruteforce(scn: &Scenario) {
             let mut eq = scn.engine();
             let mut block = distribute_tree(&tree, p);
             let q = partition_quality(&mut eq, &mut block, &out.splitters, scn.curve);
-            if std::env::var_os("OPTIPART_DEBUG").is_some() {
-                eprintln!(
-                    "grid tol={tol:.1} achieved={:.4} tp={:.6e}",
-                    out.report.achieved_tolerance, q.tp
-                );
-            }
             (tol, out.report.achieved_tolerance, out.splitters, q.tp)
         })
         .collect();
@@ -780,9 +767,29 @@ pub fn optipart_bruteforce(scn: &Scenario) {
     tk_assert!(
         scn,
         chosen.report.predicted_tp <= best * slack + 1e-15,
-        "OptiPart tp {} beaten by the emulated greedy's tol {best_tol}: {best} (slack ×{slack})",
-        chosen.report.predicted_tp
+        "OptiPart tp {} beaten by the emulated greedy's tol {best_tol}: {best} (slack ×{slack})\n  \
+         grid (tol, achieved, tp): {:?}\n  ladder probes:{}",
+        chosen.report.predicted_tp,
+        grid.iter()
+            .map(|(tol, achieved, _, tp)| (*tol, *achieved, *tp))
+            .collect::<Vec<_>>(),
+        render_decisions(&e, "optipart.probe")
     );
+}
+
+/// The engine's traced decisions named `name`, one `key=value …` line each.
+fn render_decisions(e: &Engine, name: &str) -> String {
+    let tracer = e.tracer();
+    let mut out = String::new();
+    for d in tracer.decisions() {
+        if tracer.name(d.name) == name {
+            out.push_str("\n    ");
+            for (k, v) in &d.args {
+                out.push_str(&format!("{}={v:e} ", tracer.name(*k)));
+            }
+        }
+    }
+    out
 }
 
 /// **Oracle 3 — SampleSort vs TreeSort.** The baseline partitioner and the

@@ -2,7 +2,9 @@
 //! whole stack — the property that makes every figure regenerable.
 
 use optipart::core::optipart::{optipart, OptiPartOptions};
-use optipart::core::partition::{distribute_tree, treesort_partition, PartitionOptions};
+use optipart::core::partition::{
+    distribute_shuffled, distribute_tree, treesort_partition, PartitionOptions,
+};
 use optipart::fem::{run_matvec_experiment, DistMesh};
 use optipart::machine::{AppModel, MachineModel, PerfModel};
 use optipart::mpisim::Engine;
@@ -17,6 +19,31 @@ fn engine(p: usize) -> Engine {
             AppModel::laplacian_matvec(),
         ),
     )
+}
+
+#[test]
+fn distribute_shuffled_permutation_is_pinned() {
+    // The shuffle feeds every §4.2-class input (figures, oracles, bench
+    // checksums), so its permutation is part of the identity surface: an
+    // order-sensitive FNV-1a fold over the shuffled leaves' source indices,
+    // per seed, recorded before the generator moved to `mpisim::rng`.
+    let tree = MeshParams::normal(2_000, 79).build::<3>(Curve::Hilbert);
+    for (seed, want) in [
+        (0u64, 0x11a3_b57a_862c_bddcu64),
+        (17, 0x3ff3_5347_40f7_49b6),
+        (0xDEAD_BEEF_0BAD_F00D, 0x950e_524e_7509_163c),
+    ] {
+        let shuffled = distribute_shuffled(&tree, 7, seed).concat();
+        assert_eq!(shuffled.len(), tree.len());
+        let got = shuffled.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, kc| {
+            let i = tree.leaves().binary_search(kc).expect("a leaf of the tree");
+            (h ^ i as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(
+            got, want,
+            "seed {seed:#x}: permutation moved (got {got:#x})"
+        );
+    }
 }
 
 #[test]

@@ -8,11 +8,14 @@
 
 use optipart::core::optipart::WarmStats;
 use optipart::core::partition::{distribute_tree, treesort_partition, PartitionOptions};
-use optipart::fem::{amr_simulation_ft, run_matvec_ft, AmrConfig, DistMesh};
+use optipart::fem::{
+    amr_simulation, amr_simulation_ft, run_matvec_experiment, run_matvec_ft, AmrConfig, DistMesh,
+};
 use optipart::machine::{AppModel, MachineModel, PerfModel};
-use optipart::mpisim::{CheckpointPolicy, Engine, FaultPlan};
+use optipart::mpisim::{CheckpointPolicy, Engine, FaultPlan, RunStats};
 use optipart::octree::{balance::balance21, LinearTree, MeshParams};
 use optipart::sfc::{Curve, SfcKey};
+use optipart::trace::chrome_trace_digest;
 
 fn engine(p: usize) -> Engine {
     Engine::new(
@@ -50,6 +53,87 @@ fn assert_solutions_match(want: &[(SfcKey, f64)], got: &[(SfcKey, f64)]) {
             "solution diverged: {a} vs {b} (norm {norm:e})"
         );
     }
+}
+
+/// Everything a driver leaves on its engine: makespan bits, per-rank clock
+/// bits, traffic stats, sync-point count and the Chrome-trace digest.
+fn engine_footprint(e: &Engine) -> (u64, Vec<u64>, RunStats, u64, u64) {
+    (
+        e.makespan().to_bits(),
+        e.clocks().iter().map(|c| c.to_bits()).collect(),
+        e.stats().clone(),
+        e.sync_points(),
+        chrome_trace_digest(e.tracer()),
+    )
+}
+
+#[test]
+fn fault_free_amr_driver_is_the_ft_driver_with_checkpointing_off() {
+    // `amr_simulation` must be `amr_simulation_ft(.., Never)` projected:
+    // same report to the last bit, same charges, same collective sequence,
+    // same trace bytes — with the partitioner warm-started or not.
+    for warm_start in [true, false] {
+        let cfg = AmrConfig {
+            steps: 4,
+            max_level: 4,
+            matvecs_per_step: 3,
+            warm_start,
+            ..Default::default()
+        };
+        let mut ep = engine(8).with_tracing();
+        let plain = amr_simulation(&mut ep, &cfg);
+        let mut ef = engine(8).with_tracing();
+        let ft = amr_simulation_ft(&mut ef, &cfg, CheckpointPolicy::Never);
+
+        assert!(ft.deaths.is_empty());
+        assert_eq!(ft.checkpoint.saves, 0);
+        assert_eq!(plain.steps.len(), ft.steps.len());
+        for (a, b) in plain.steps.iter().zip(&ft.steps) {
+            assert_eq!(
+                (a.step, a.elements, a.migrated),
+                (b.step, b.elements, b.migrated)
+            );
+            assert_eq!(a.lambda.to_bits(), b.lambda.to_bits(), "step {}", a.step);
+            assert_eq!(a.seconds.to_bits(), b.seconds.to_bits(), "step {}", a.step);
+        }
+        assert_eq!(plain.total_seconds.to_bits(), ft.total_seconds.to_bits());
+        assert_eq!(plain.total_energy_j.to_bits(), ft.total_energy_j.to_bits());
+        assert_eq!(plain.total_ghosts, ft.total_ghosts);
+        assert_eq!(plain.warm, ft.warm);
+        assert_eq!(
+            engine_footprint(&ep),
+            engine_footprint(&ef),
+            "warm_start = {warm_start}"
+        );
+    }
+}
+
+#[test]
+fn fault_free_matvec_driver_is_the_ft_driver_with_checkpointing_off() {
+    // Same pin for `run_matvec_experiment` against `run_matvec_ft(.., Never)`;
+    // 23 iterations cross the every-tenth rescale twice.
+    let tree = balanced_tree(1_500, 67);
+    let mut ep = engine(8).with_tracing().record_comm_matrix();
+    let mesh_p = built(&mut ep, &tree);
+    let plain = run_matvec_experiment(&mut ep, &mesh_p, 23);
+    let mut ef = engine(8).with_tracing().record_comm_matrix();
+    let mesh_f = built(&mut ef, &tree);
+    let ft = run_matvec_ft(&mut ef, &mesh_f, 23, CheckpointPolicy::Never);
+
+    assert!(ft.deaths.is_empty());
+    assert_eq!(plain.iterations, ft.iterations);
+    assert_eq!(plain.seconds.to_bits(), ft.seconds.to_bits());
+    assert_eq!(plain.ghost_elements, ft.ghost_elements);
+    // The plain report's remaining fields are read-outs of the engine.
+    let energy = ef.energy_report();
+    assert_eq!(plain.energy.total_j.to_bits(), energy.total_j.to_bits());
+    assert_eq!(plain.energy.comm_j.to_bits(), energy.comm_j.to_bits());
+    assert_eq!(plain.energy.per_node_j, energy.per_node_j);
+    assert_eq!(plain.comm_nnz, ef.comm_matrix().map(|m| m.nnz()));
+    assert_eq!(plain.bytes_total, ef.stats().bytes_total);
+    assert_eq!(plain.retries, ef.stats().retries_total);
+    assert_eq!(plain.rank_clocks, ef.clocks());
+    assert_eq!(engine_footprint(&ep), engine_footprint(&ef));
 }
 
 #[test]
