@@ -117,13 +117,13 @@ impl Table {
 /// (virtual timings, NNZ, imbalance, …) as headers + string rows. Lands in
 /// `--out DIR` when given, the working directory otherwise.
 pub fn write_summary(cfg: &RunConfig, figures: &[(String, f64)]) {
-    use optipart_trace::json_escape;
+    use optipart_trace::json::quote;
     let mut s = String::from("{\n  \"figures\": [\n");
     for (i, (id, wall)) in figures.iter().enumerate() {
         let sep = if i + 1 == figures.len() { "" } else { "," };
         s.push_str(&format!(
-            "    {{\"id\": \"{}\", \"wall_s\": {:.6}}}{}\n",
-            json_escape(id),
+            "    {{\"id\": {}, \"wall_s\": {:.6}}}{}\n",
+            quote(id),
             wall,
             sep
         ));
@@ -131,21 +131,21 @@ pub fn write_summary(cfg: &RunConfig, figures: &[(String, f64)]) {
     s.push_str("  ],\n  \"tables\": [\n");
     let tables = EMITTED.lock().unwrap();
     for (i, (name, headers, rows)) in tables.iter().enumerate() {
-        let quote = |cells: &[String]| {
+        let cells = |cells: &[String]| {
             cells
                 .iter()
-                .map(|c| format!("\"{}\"", json_escape(c)))
+                .map(|c| quote(c))
                 .collect::<Vec<_>>()
                 .join(", ")
         };
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"headers\": [{}], \"rows\": [",
-            json_escape(name),
-            quote(headers)
+            "    {{\"name\": {}, \"headers\": [{}], \"rows\": [",
+            quote(name),
+            cells(headers)
         ));
         for (j, row) in rows.iter().enumerate() {
             let sep = if j + 1 == rows.len() { "" } else { ", " };
-            s.push_str(&format!("[{}]{}", quote(row), sep));
+            s.push_str(&format!("[{}]{}", cells(row), sep));
         }
         let sep = if i + 1 == tables.len() { "" } else { "," };
         s.push_str(&format!("]}}{}\n", sep));

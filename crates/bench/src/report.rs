@@ -1,5 +1,5 @@
-//! `BENCH_*.json` reports: the schema, a dependency-free JSON writer and
-//! parser (the offline policy rules out serde), and the regression
+//! `BENCH_*.json` reports: the schema, its writer and reader (over the
+//! workspace's one JSON codec, `optipart_trace::json`), and the regression
 //! comparison `bench compare` gates on.
 //!
 //! Schema (`optipart-bench/1`):
@@ -25,6 +25,7 @@
 //! the threshold only when the runs come from the same host class
 //! (`--allocs-only` disables the time gate for cross-machine compares).
 
+use optipart_trace::json::{self, quote, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -134,46 +135,44 @@ impl Report {
     /// Parses a document produced by [`Report::to_json`] (or hand-edited —
     /// any whitespace / key order / trailing precision is accepted).
     pub fn from_json(text: &str) -> Result<Report, String> {
-        let v = Json::parse(text)?;
-        let obj = v.as_obj("report")?;
-        let schema = obj.str_field("schema")?;
+        let obj = json::parse(text)?;
+        let schema = str_field(&obj, "schema")?;
         if schema != Report::SCHEMA {
             return Err(format!("unsupported schema {schema:?}"));
         }
+        let Some(Value::Arr(items)) = obj.get("kernels") else {
+            return Err("field \"kernels\": expected array".into());
+        };
         let mut kernels = Vec::new();
-        for (i, kv) in obj.arr_field("kernels")?.iter().enumerate() {
-            let k = kv.as_obj(&format!("kernels[{i}]"))?;
+        for k in items {
             kernels.push(KernelResult {
-                name: k.str_field("name")?,
-                group: k.str_field("group")?,
-                n: k.num_field("n")? as u64,
-                elements: k.num_field("elements")? as u64,
-                min_iter_ns: k.num_field("min_iter_ns")? as u64,
-                ns_per_elem: k.num_field("ns_per_elem")?,
-                melem_per_s: k.num_field("melem_per_s")?,
-                allocs_per_iter: k.num_field("allocs_per_iter")? as u64,
-                alloc_bytes_per_iter: k.num_field("alloc_bytes_per_iter")? as u64,
-                checksum: k.str_field("checksum")?,
+                name: str_field(k, "name")?,
+                group: str_field(k, "group")?,
+                n: num_field(k, "n")? as u64,
+                elements: num_field(k, "elements")? as u64,
+                min_iter_ns: num_field(k, "min_iter_ns")? as u64,
+                ns_per_elem: num_field(k, "ns_per_elem")?,
+                melem_per_s: num_field(k, "melem_per_s")?,
+                allocs_per_iter: num_field(k, "allocs_per_iter")? as u64,
+                alloc_bytes_per_iter: num_field(k, "alloc_bytes_per_iter")? as u64,
+                checksum: str_field(k, "checksum")?,
             });
         }
         let mut derived = BTreeMap::new();
-        if let Some(Json::Obj(pairs)) = obj.get("derived") {
-            for (k, v) in pairs {
-                derived.insert(k.clone(), v.as_num(k)?);
+        if let Some(d @ Value::Obj(pairs)) = obj.get("derived") {
+            for (k, _) in pairs {
+                derived.insert(k.clone(), num_field(d, k)?);
             }
         }
         Ok(Report {
             schema,
-            host: obj.str_field("host")?,
-            mode: obj.str_field("mode")?,
-            samples: obj.num_field("samples")? as u64,
-            threads: obj.num_field("threads")? as u64,
+            host: str_field(&obj, "host")?,
+            mode: str_field(&obj, "mode")?,
+            samples: num_field(&obj, "samples")? as u64,
+            threads: num_field(&obj, "threads")? as u64,
             // Tolerant: reports written before the host-capability stanza
             // existed parse as cores = 0 ("unknown").
-            cores: obj
-                .get("cores")
-                .and_then(|v| v.as_num("cores").ok())
-                .unwrap_or(0.0) as u64,
+            cores: num_field(&obj, "cores").unwrap_or(0.0) as u64,
             kernels,
             derived,
         })
@@ -188,244 +187,21 @@ fn fmt_f64(x: f64) -> String {
     }
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Minimal JSON value for parsing `BENCH_*.json` under the offline policy.
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn as_obj(&self, what: &str) -> Result<&Vec<(String, Json)>, String> {
-        match self {
-            Json::Obj(pairs) => Ok(pairs),
-            other => Err(format!("{what}: expected object, got {other:?}")),
-        }
-    }
-
-    fn as_num(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Json::Num(x) => Ok(*x),
-            other => Err(format!("{what}: expected number, got {other:?}")),
-        }
+fn str_field(obj: &Value, key: &str) -> Result<String, String> {
+    match obj.get(key) {
+        Some(Value::Str(s)) => Ok(s.clone()),
+        other => Err(format!("field {key:?}: expected string, got {other:?}")),
     }
 }
 
-/// Field accessors over the `Vec<(String, Json)>` object representation.
-trait ObjExt {
-    fn get(&self, key: &str) -> Option<&Json>;
-    fn str_field(&self, key: &str) -> Result<String, String>;
-    fn num_field(&self, key: &str) -> Result<f64, String>;
-    fn arr_field(&self, key: &str) -> Result<&Vec<Json>, String>;
-}
-
-impl ObjExt for Vec<(String, Json)> {
-    fn get(&self, key: &str) -> Option<&Json> {
-        self.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn str_field(&self, key: &str) -> Result<String, String> {
-        match self.get(key) {
-            Some(Json::Str(s)) => Ok(s.clone()),
-            other => Err(format!("field {key:?}: expected string, got {other:?}")),
-        }
-    }
-
-    fn num_field(&self, key: &str) -> Result<f64, String> {
-        match self.get(key) {
-            Some(Json::Num(x)) => Ok(*x),
-            other => Err(format!("field {key:?}: expected number, got {other:?}")),
-        }
-    }
-
-    fn arr_field(&self, key: &str) -> Result<&Vec<Json>, String> {
-        match self.get(key) {
-            Some(Json::Arr(items)) => Ok(items),
-            other => Err(format!("field {key:?}: expected array, got {other:?}")),
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", c as char, pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
-                pairs.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            s.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number {s:?} at byte {start}"))
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = b.get(*pos).copied().ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        *pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                    }
-                    other => return Err(format!("unknown escape \\{}", other as char)),
-                }
-            }
-            c => {
-                // Re-assemble multi-byte UTF-8 sequences byte-by-byte.
-                let start = *pos - 1;
-                let len = utf8_len(c);
-                let chunk = b.get(start..start + len).ok_or("truncated UTF-8")?;
-                out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                *pos = start + len;
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
+/// Integer fields go through `f64` too, so a hand-edited `"samples": 10.0`
+/// still reads.
+fn num_field(obj: &Value, key: &str) -> Result<f64, String> {
+    match obj.get(key) {
+        Some(Value::Num(raw)) => raw
+            .parse()
+            .map_err(|_| format!("field {key:?}: bad number {raw:?}")),
+        other => Err(format!("field {key:?}: expected number, got {other:?}")),
     }
 }
 

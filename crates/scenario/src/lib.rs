@@ -528,6 +528,60 @@ impl Scenario {
         }
     }
 
+    /// The override keys that take a value, in canonical order — the one
+    /// table of how a scenario's fields are spelled. Corpus files use them
+    /// as `key = value`, `testkit replay` as `--key value`, the
+    /// `optipart-serve` wire as `"key":value` (where `split-budget` is
+    /// abbreviated `budget`); [`Scenario::replay_cmd`] emits the same
+    /// spellings, so [`Scenario::set`] reads back whatever it writes.
+    pub const KEYS: [&'static str; 12] = [
+        "shape",
+        "n",
+        "p",
+        "curve",
+        "tol",
+        "split-budget",
+        "machine",
+        "app",
+        "faults",
+        "hier",
+        "family",
+        "workload",
+    ];
+
+    /// Overrides one field from its textual form: any of
+    /// [`Scenario::KEYS`], plus the value-less `no-faults` (the flag form
+    /// of `faults none`). `split-budget` and `faults` accept `none`.
+    /// Values are range-checked by whoever takes them from outside the
+    /// program, not here — a local replay may go as big as memory allows.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+            value
+                .parse()
+                .map_err(|_| format!("bad number for '{key}': {value}"))
+        }
+        let named = || format!("unknown {key} '{value}'");
+        match key {
+            "shape" => self.shape = MeshShape::parse(value).ok_or_else(named)?,
+            "n" => self.n = num(key, value)?,
+            "p" => self.p = num(key, value)?,
+            "curve" => self.curve = parse_curve(value).ok_or_else(named)?,
+            "tol" => self.tolerance = num(key, value)?,
+            "split-budget" if value == "none" => self.split_budget = None,
+            "split-budget" => self.split_budget = Some(num(key, value)?),
+            "machine" => self.machine = MachineModel::by_name(value).ok_or_else(named)?,
+            "app" => self.app = AppKind::parse(value).ok_or_else(named)?,
+            "no-faults" => self.faults = None,
+            "faults" if value == "none" => self.faults = None,
+            "faults" => self.faults = Some(value.parse().map_err(|e| format!("bad faults: {e}"))?),
+            "hier" => self.hier = HierKind::parse(value).ok_or_else(named)?,
+            "family" => self.family = ElemFamily::parse(value).ok_or_else(named)?,
+            "workload" => self.workload = Workload::parse(value).ok_or_else(named)?,
+            _ => return Err(format!("unknown key '{key}'")),
+        }
+        Ok(())
+    }
+
     /// The one-line replay command for this scenario: the seed plus exactly
     /// the fields that differ from the seed's derivation (shrinkers and
     /// corpus files override fields; a pristine scenario replays from the
@@ -747,6 +801,63 @@ mod tests {
             !cmd.contains("--shape"),
             "un-overridden fields must stay out: {cmd}"
         );
+    }
+
+    /// Every key in the table sets its own field from the spelling
+    /// `name()`/`encode()` write; bad values and unknown keys are named in
+    /// the error and leave the scenario untouched.
+    #[test]
+    fn set_covers_the_key_table_and_names_its_errors() {
+        let donor = Scenario::from_seed(0xD0_u64);
+        let mut scn = Scenario::from_seed(1);
+        for key in Scenario::KEYS {
+            let value = match key {
+                "shape" => donor.shape.name().to_string(),
+                "n" => donor.n.to_string(),
+                "p" => donor.p.to_string(),
+                "curve" => curve_name(donor.curve).to_string(),
+                "tol" => donor.tolerance.to_string(),
+                "split-budget" => "17".to_string(),
+                "machine" => donor.machine.name.to_string(),
+                "app" => donor.app.name().to_string(),
+                "faults" => "seed=3,kill=1@4".to_string(),
+                "hier" => donor.hier.name().to_string(),
+                "family" => donor.family.name().to_string(),
+                "workload" => "blayer5".to_string(),
+                other => panic!("KEYS grew `{other}`: teach this test its spelling"),
+            };
+            scn.set(key, &value)
+                .unwrap_or_else(|e| panic!("{key} = {value}: {e}"));
+        }
+        let mut want = donor.clone();
+        want.seed = 1;
+        want.split_budget = Some(17);
+        want.faults = Some("seed=3,kill=1@4".parse().unwrap());
+        want.workload = Workload::BoundaryLayer { steps: 5 };
+        assert_eq!(scn.to_string(), want.to_string());
+
+        scn.set("split-budget", "none").unwrap();
+        scn.set("faults", "none").unwrap();
+        assert!(scn.split_budget.is_none() && scn.faults.is_none());
+        scn.faults = want.faults.clone();
+        scn.set("no-faults", "").unwrap();
+        assert!(scn.faults.is_none());
+
+        let before = scn.to_string();
+        for (key, value, why) in [
+            ("shape", "donut", "unknown shape 'donut'"),
+            ("n", "12x", "bad number for 'n': 12x"),
+            ("tol", "", "bad number for 'tol': "),
+            ("split-budget", "-1", "bad number for 'split-budget': -1"),
+            ("machine", "cray-1", "unknown machine 'cray-1'"),
+            ("faults", "kill=", "bad faults: "),
+            ("workload", "front", "unknown workload 'front'"),
+            ("budget", "8", "unknown key 'budget'"),
+        ] {
+            let err = scn.set(key, value).expect_err(key);
+            assert!(err.starts_with(why), "{key} = {value}: {err}");
+        }
+        assert_eq!(scn.to_string(), before);
     }
 
     /// The hierarchy presets applied by `machine_model` keep the flat

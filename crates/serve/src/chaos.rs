@@ -19,16 +19,22 @@
 //! disconnect/corruption streams are forked independently of the panic
 //! stream, the *served* payloads agree across worker counts too — the
 //! drivers in `optipart-serve chaos` and `tests/serve_stream.rs` check
-//! both.
+//! both. [`socket_chaos`] then replays the same plan over a real Unix
+//! socket, through the same [`crate::front`] code a production connection
+//! runs.
 
-use crate::protocol::{json_string, Request, Response};
+use crate::front::{classify, connect_retry, finish, Listener};
+use crate::protocol::{Request, Response, DEFAULT_MAX_LINE};
 use crate::server::{ServeConfig, Server, ServerStats};
 use crate::soak::{mixed_stream, verify_responses_with, DirectCache, VerifySummary};
 use optipart_mpisim::rng::SplitMix64;
 use optipart_mpisim::RankDeath;
+use optipart_trace::json::quote;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::sync::Once;
+use std::time::Duration;
 
 /// RNG stream tags. Panics are forked separately from disconnects and
 /// corruption so that changing the worker count (which reshapes the panic
@@ -319,8 +325,8 @@ impl ChaosPlan {
 
 /// The canonical chaos request stream: `mixed_stream` with kills and
 /// deadlines laced in, at the distinct-scenario density the other soaks
-/// use. One definition shared by the in-process soak and the socket driver
-/// in `optipart-serve`, so their direct-call caches line up.
+/// use. One definition shared by [`chaos_soak`] and [`socket_chaos`], so
+/// their direct-call caches line up.
 pub fn chaos_stream(seed: u64, requests: usize) -> Vec<Request> {
     let distinct = (requests / 16).clamp(1, 64);
     mixed_stream(seed, requests, distinct, 23, 11)
@@ -340,9 +346,8 @@ pub struct ClientScript {
 /// Expands a plan into per-client byte scripts: request `i` belongs to
 /// client `i % clients`, a disconnecting client stops after its armed line
 /// count, and corruption consumes the byte-RNG in global line order. Both
-/// the in-process [`chaos_soak`] and the socket driver in `optipart-serve`
-/// build their traffic from this, so the same ids carry the same bytes in
-/// either mode.
+/// [`chaos_soak`] and [`socket_chaos`] build their traffic from this, so
+/// the same ids carry the same bytes in either mode.
 pub fn client_scripts(
     seed: u64,
     reqs: &[Request],
@@ -426,8 +431,10 @@ pub struct ChaosReport {
 /// cross-check reuses it).
 ///
 /// Worker panics fire via the armed [`PanicSchedule`]; client disconnects
-/// and line corruption are applied in-process (the socket-level versions
-/// of the same plan live in the `optipart-serve chaos` subcommand).
+/// and line corruption are applied in-process ([`socket_chaos`] drives the
+/// same plan over a real socket). Lines are classified by the front end's
+/// own [`classify`], so a line counts as a parse casualty here exactly
+/// when a live connection would answer it with an error line.
 pub fn chaos_soak(
     seed: u64,
     requests: usize,
@@ -454,10 +461,7 @@ pub fn chaos_soak(
     let server = Server::start_chaos(cfg, plan.panics.clone());
     server.pause();
     for (i, line) in all {
-        let parsed = std::str::from_utf8(line)
-            .map_err(|e| format!("invalid UTF-8: {e}"))
-            .and_then(Request::from_json);
-        match parsed {
+        match classify(line) {
             Ok(req) => {
                 server.submit(req.clone());
                 submitted.push(req);
@@ -477,7 +481,7 @@ pub fn chaos_soak(
     by_id.sort_by_key(|r| r.id);
     let mut transcript = String::new();
     for (i, e) in &parse_errors {
-        transcript.push_str(&format!("{{\"line\":{i},\"error\":{}}}\n", json_string(e)));
+        transcript.push_str(&format!("{{\"line\":{i},\"error\":{}}}\n", quote(e)));
     }
     for r in &by_id {
         let mut frozen = (*r).clone();
@@ -523,6 +527,89 @@ pub fn chaos_soak(
         summary,
         verify,
     })
+}
+
+/// The socket phase: the plan's client scripts written over a real Unix
+/// socket by concurrent OS threads — disconnecting clients vanish
+/// mid-line, slow readers stall — while the front end's own
+/// [`Listener::serve`] drains them. Whatever interleaving happens,
+/// [`finish`] must find every connection conserved and every served
+/// payload bit-identical to a direct call.
+pub fn socket_chaos(
+    seed: u64,
+    requests: usize,
+    cfg: ServeConfig,
+    knobs: ChaosKnobs,
+    cache: &mut DirectCache,
+) -> Result<(VerifySummary, ServerStats), String> {
+    let reqs = chaos_stream(seed, requests);
+    let plan = ChaosPlan::generate(seed, requests, cfg.workers, &knobs);
+    let scripts = client_scripts(seed, &reqs, &plan, knobs.clients);
+    let path = format!("/tmp/optipart-chaos-{}.sock", std::process::id());
+
+    let server = Server::start_chaos(cfg, plan.panics.clone());
+    let ingress = server.ingress();
+    let listener = Listener::bind(&path).map_err(|e| format!("bind {path}: {e}"))?;
+    let accept = {
+        let (ingress, clients) = (ingress.clone(), scripts.len());
+        std::thread::spawn(move || listener.serve(&ingress, clients, true, DEFAULT_MAX_LINE))
+    };
+    let clients: Vec<_> = scripts
+        .into_iter()
+        .map(|script| {
+            let path = path.clone();
+            std::thread::spawn(move || run_chaos_client(&path, &script, knobs.stall_every))
+        })
+        .collect();
+    for c in clients {
+        c.join().map_err(|_| "chaos client thread panicked")?;
+    }
+    let conns = accept.join().map_err(|_| "accept thread panicked")?;
+    let (stats, audit) = finish(server, &conns, Some(cache));
+    Ok((audit.map_err(|e| format!("socket phase: {e}"))?, stats))
+}
+
+/// One scripted chaos client: writes its (pre-damaged) lines, optionally
+/// vanishes mid-line, and reads responses on a side thread — stalling
+/// every `stall_every` lines to back the server's writes up briefly.
+fn run_chaos_client(path: &str, script: &ClientScript, stall_every: usize) {
+    let Ok(stream) = connect_retry(path, 5000) else {
+        return;
+    };
+    let rd = stream.try_clone().ok().map(|r| {
+        std::thread::spawn(move || {
+            let mut n = 0usize;
+            for line in BufReader::new(r).lines() {
+                if line.is_err() {
+                    break;
+                }
+                n += 1;
+                if stall_every > 0 && n.is_multiple_of(stall_every) {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            }
+        })
+    });
+    {
+        let mut w = BufWriter::new(&stream);
+        for (_, line) in &script.lines {
+            let _ = w.write_all(line);
+            let _ = w.write_all(b"\n");
+        }
+        if script.disconnects {
+            // Vanish mid-line: half a request, no newline, gone.
+            let _ = w.write_all(b"{\"id\":404,\"seed\":12");
+        }
+        let _ = w.flush();
+    }
+    if script.disconnects {
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+    } else {
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+    }
+    if let Some(h) = rd {
+        let _ = h.join();
+    }
 }
 
 #[cfg(test)]

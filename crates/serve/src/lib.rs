@@ -9,7 +9,10 @@
 //! serving rides the exact-hit path the warm-start cache was built for
 //! (DESIGN.md §14/§15).
 //!
-//! The architecture, in one pass through a request:
+//! The architecture, in one pass through a request (a line arriving on a
+//! stream first goes through [`front`] — capped line reader, classifier,
+//! per-connection `pump` — and [`protocol`], the wire grammar; in-process
+//! callers submit a [`Request`] directly):
 //!
 //! 1. **Shard** — [`protocol::Request::shard`] hashes the canonical
 //!    scenario key (FNV-1a over the `Scenario` display form), so repeats of
@@ -43,6 +46,7 @@
 pub use optipart_scenario as scenario;
 
 pub mod chaos;
+pub mod front;
 pub mod protocol;
 pub mod server;
 pub mod soak;

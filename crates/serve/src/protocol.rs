@@ -8,17 +8,36 @@
 //! request can be turned back into a one-line replay command
 //! ([`Scenario::replay_cmd`]) when it is shed or fails verification.
 //!
-//! The parser is hand-rolled (flat objects only, no nesting) because the
-//! workspace's offline policy forbids pulling in a JSON crate; the bench
-//! harness's report reader made the same choice.
+//! This module owns the wire *grammar*, nothing else: JSON itself is read
+//! and written by `optipart_trace::json` ([`Fields`] narrows its value
+//! tree to the flat objects the protocol allows), and how a scenario field
+//! is spelled and parsed is [`Scenario::set`]'s business — `from_json`
+//! hands it each [`Scenario::KEYS`] member it finds, as the scalar's text
+//! (`"p":8` and `"p":"8"` are the same override). What the wire adds on
+//! top: `budget` abbreviates `split-budget`, `null` spells the `None` of
+//! the two optional fields, unknown fields are ignored so old servers
+//! accept newer clients, and sizes are bounded ([`MAX_N`], [`MAX_P`],
+//! `tol` ∈ [0, 1]) because a request is outside input — one line must not
+//! be able to exhaust the server's memory or stall a worker.
 
 use crate::Payload;
-use optipart_machine::MachineModel;
-use optipart_mpisim::FaultPlan;
-use optipart_scenario::{
-    curve_name, parse_curve, AppKind, ElemFamily, HierKind, MeshShape, Scenario, Workload,
-};
+use optipart_scenario::{curve_name, Scenario};
+use optipart_trace::fnv1a;
+use optipart_trace::json::{self, quote, Value};
 use std::fmt::Write as _;
+
+/// Byte cap on one request line (`optipart-serve serve --max-line`): past
+/// it the rest of the line is swallowed, the client gets an error line,
+/// and the connection keeps serving.
+pub const DEFAULT_MAX_LINE: usize = 64 * 1024;
+
+/// Largest point count a request may ask for. An allocation failure
+/// aborts the process — `catch_unwind` cannot quarantine it — so the
+/// bound is enforced at the wire, before any worker sees the request.
+pub const MAX_N: usize = 1 << 22;
+
+/// Largest rank count a request may ask for (the paper-scale 262,144).
+pub const MAX_P: usize = 1 << 18;
 
 /// One partition request: a replayable scenario plus service metadata.
 #[derive(Clone, Debug)]
@@ -42,9 +61,11 @@ impl Request {
         self.scn.to_string()
     }
 
-    /// Shard (worker index) for this request: a stable hash of [`key`]
-    /// (FNV-1a), so repeats of a scenario always hit the same worker's
-    /// warm `PartitionState`.
+    /// Shard (worker index) for this request: FNV-1a over [`key`], so
+    /// repeats of a scenario always hit the same worker's warm
+    /// `PartitionState`. Unlike `std`'s `DefaultHasher` the hash is stable
+    /// across platforms and processes, which keeps shard placement and
+    /// therefore batching behaviour reproducible.
     ///
     /// [`key`]: Request::key
     pub fn shard(&self, workers: usize) -> usize {
@@ -83,7 +104,7 @@ impl Request {
         );
         match &s.faults {
             Some(plan) => {
-                let _ = write!(out, "{}", json_string(&plan.to_string()));
+                let _ = write!(out, "{}", quote(&plan.to_string()));
             }
             None => out.push_str("null"),
         }
@@ -96,6 +117,7 @@ impl Request {
 
     /// Parses one request line. `id` and `seed` are required; every other
     /// scenario field defaults to its seed derivation (replay semantics).
+    /// Out-of-range sizes are rejected here (see the module docs).
     pub fn from_json(line: &str) -> Result<Request, String> {
         let f = Fields::parse(line)?;
         let id = f
@@ -105,60 +127,30 @@ impl Request {
             .num::<u64>("seed")?
             .ok_or_else(|| "missing required field 'seed'".to_string())?;
         let mut scn = Scenario::from_seed(seed);
-        if let Some(name) = f.str("shape")? {
-            scn.shape = MeshShape::parse(name).ok_or_else(|| format!("unknown shape '{name}'"))?;
-        }
-        if let Some(n) = f.num::<usize>("n")? {
-            scn.n = n;
-        }
-        if let Some(p) = f.num::<usize>("p")? {
-            scn.p = p.max(1);
-        }
-        if let Some(name) = f.str("curve")? {
-            scn.curve = parse_curve(name).ok_or_else(|| format!("unknown curve '{name}'"))?;
-        }
-        if let Some(t) = f.num::<f64>("tol")? {
-            scn.tolerance = t;
-        }
-        match f.get("budget") {
-            None | Some(JsonVal::Null) => {
-                if f.get("budget").is_some() {
-                    scn.split_budget = None;
-                }
+        for key in Scenario::KEYS {
+            let wire = if key == "split-budget" { "budget" } else { key };
+            match f.get(wire) {
+                None | Some(Value::Null) => {}
+                Some(Value::Num(text) | Value::Str(text)) => scn.set(key, text)?,
+                Some(v) => return Err(format!("field '{wire}' is not a string or number: {v:?}")),
             }
-            Some(JsonVal::Num(raw)) => {
-                scn.split_budget = Some(raw.parse().map_err(|_| format!("bad budget '{raw}'"))?);
-            }
-            Some(JsonVal::Str(s)) if s == "none" => scn.split_budget = None,
-            Some(v) => return Err(format!("bad budget {v:?}")),
         }
-        if let Some(name) = f.str("machine")? {
-            scn.machine =
-                MachineModel::by_name(name).ok_or_else(|| format!("unknown machine '{name}'"))?;
+        // `null` is how `to_json` spells the `None` of the optional fields.
+        if f.get("budget") == Some(&Value::Null) {
+            scn.split_budget = None;
         }
-        if let Some(name) = f.str("app")? {
-            scn.app = AppKind::parse(name).ok_or_else(|| format!("unknown app '{name}'"))?;
+        if f.get("faults") == Some(&Value::Null) {
+            scn.faults = None;
         }
-        if let Some(name) = f.str("hier")? {
-            scn.hier = HierKind::parse(name).ok_or_else(|| format!("unknown hier '{name}'"))?;
+        scn.p = scn.p.max(1);
+        if scn.n > MAX_N {
+            return Err(format!("n = {} exceeds the wire limit {MAX_N}", scn.n));
         }
-        if let Some(name) = f.str("family")? {
-            scn.family =
-                ElemFamily::parse(name).ok_or_else(|| format!("unknown family '{name}'"))?;
+        if scn.p > MAX_P {
+            return Err(format!("p = {} exceeds the wire limit {MAX_P}", scn.p));
         }
-        if let Some(name) = f.str("workload")? {
-            scn.workload =
-                Workload::parse(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
-        }
-        match f.get("faults") {
-            None => {}
-            Some(JsonVal::Null) => scn.faults = None,
-            Some(JsonVal::Str(spec)) if spec == "none" => scn.faults = None,
-            Some(JsonVal::Str(spec)) => {
-                let plan: FaultPlan = spec.parse().map_err(|e| format!("bad faults: {e}"))?;
-                scn.faults = Some(plan);
-            }
-            Some(v) => return Err(format!("bad faults {v:?}")),
+        if !(0.0..=1.0).contains(&scn.tolerance) {
+            return Err(format!("tol = {:?} is outside [0, 1]", scn.tolerance));
         }
         let deadline_s = f.num::<f64>("deadline_s")?;
         Ok(Request {
@@ -300,117 +292,50 @@ impl Response {
             );
         }
         if let Some(r) = &self.replay {
-            let _ = write!(out, ",\"replay\":{}", json_string(r));
+            let _ = write!(out, ",\"replay\":{}", quote(r));
         }
         if let Some(t) = self.retry_after_s {
             let _ = write!(out, ",\"retry_after_s\":{t}");
         }
         if let Some(e) = &self.error {
-            let _ = write!(out, ",\"error\":{}", json_string(e));
+            let _ = write!(out, ",\"error\":{}", quote(e));
         }
         out.push('}');
         out
     }
 }
 
-/// FNV-1a over bytes — the sharding hash. Stable across platforms and
-/// processes (unlike `std`'s `DefaultHasher`), which keeps shard placement
-/// and therefore batching behaviour reproducible.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// JSON string literal with escaping.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A parsed flat-JSON value. Numbers keep their raw text so `u64` seeds
-/// round-trip exactly (an f64 detour would corrupt seeds above 2⁵³).
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonVal {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number, unparsed.
-    Num(String),
-    /// A string literal, unescaped.
-    Str(String),
-}
-
-/// The fields of one flat JSON object, in document order.
+/// The fields of one flat JSON object, in document order: the protocol's
+/// view of a parsed line. Numbers keep their raw text (see
+/// `optipart_trace::json`), so `u64` seeds round-trip exactly.
 #[derive(Clone, Debug, Default)]
-pub struct Fields(Vec<(String, JsonVal)>);
+pub struct Fields(Vec<(String, Value)>);
 
 impl Fields {
     /// Parses a single flat JSON object (no nested objects or arrays).
     pub fn parse(line: &str) -> Result<Fields, String> {
-        let mut p = Parser {
-            s: line.as_bytes(),
-            i: 0,
+        let Value::Obj(fields) = json::parse(line)? else {
+            return Err("a protocol line is one JSON object".into());
         };
-        p.ws();
-        p.eat(b'{')?;
-        let mut fields = Vec::new();
-        p.ws();
-        if p.peek() == Some(b'}') {
-            p.i += 1;
-        } else {
-            loop {
-                p.ws();
-                let key = p.string()?;
-                p.ws();
-                p.eat(b':')?;
-                p.ws();
-                let val = p.value()?;
-                fields.push((key, val));
-                p.ws();
-                match p.next() {
-                    Some(b',') => continue,
-                    Some(b'}') => break,
-                    other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                }
-            }
-        }
-        p.ws();
-        if p.i != p.s.len() {
-            return Err(format!("trailing content at byte {}", p.i));
+        if fields
+            .iter()
+            .any(|(_, v)| matches!(v, Value::Arr(_) | Value::Obj(_)))
+        {
+            return Err("nested objects/arrays are not part of the protocol".into());
         }
         Ok(Fields(fields))
     }
 
     /// Last value for `key`, if present.
-    pub fn get(&self, key: &str) -> Option<&JsonVal> {
+    pub fn get(&self, key: &str) -> Option<&Value> {
         self.0.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Numeric field parsed as `T` (exact text → `FromStr`, no f64 detour).
     pub fn num<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
         match self.get(key) {
-            None | Some(JsonVal::Null) => Ok(None),
-            Some(JsonVal::Num(raw)) => raw
+            None | Some(Value::Null) => Ok(None),
+            Some(Value::Num(raw)) => raw
                 .parse()
                 .map(Some)
                 .map_err(|_| format!("bad number for '{key}': {raw}")),
@@ -421,126 +346,9 @@ impl Fields {
     /// String field.
     pub fn str(&self, key: &str) -> Result<Option<&str>, String> {
         match self.get(key) {
-            None | Some(JsonVal::Null) => Ok(None),
-            Some(JsonVal::Str(s)) => Ok(Some(s)),
+            None | Some(Value::Null) => Ok(None),
+            Some(Value::Str(s)) => Ok(Some(s)),
             Some(v) => Err(format!("field '{key}' is not a string: {v:?}")),
-        }
-    }
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.i += 1;
-        }
-        b
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        match self.next() {
-            Some(b) if b == c => Ok(()),
-            other => Err(format!("expected '{}', got {other:?}", c as char)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + (d as char)
-                                    .to_digit(16)
-                                    .ok_or_else(|| format!("bad hex digit '{}'", d as char))?;
-                        }
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-decode the UTF-8 sequence starting at this byte.
-                    let start = self.i - 1;
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.s.len());
-                    let chunk = std::str::from_utf8(&self.s[start..end])
-                        .map_err(|_| "bad UTF-8 in string".to_string())?;
-                    out.push_str(chunk);
-                    self.i = end;
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonVal, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonVal::Str(self.string()?)),
-            Some(b'n') => self.lit("null", JsonVal::Null),
-            Some(b't') => self.lit("true", JsonVal::Bool(true)),
-            Some(b'f') => self.lit("false", JsonVal::Bool(false)),
-            Some(b'{' | b'[') => Err("nested objects/arrays are not part of the protocol".into()),
-            Some(_) => {
-                let start = self.i;
-                while matches!(
-                    self.peek(),
-                    Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                ) {
-                    self.i += 1;
-                }
-                if self.i == start {
-                    return Err(format!("bad value at byte {start}"));
-                }
-                Ok(JsonVal::Num(
-                    std::str::from_utf8(&self.s[start..self.i])
-                        .unwrap()
-                        .to_string(),
-                ))
-            }
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn lit(&mut self, word: &str, val: JsonVal) -> Result<JsonVal, String> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(val)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
         }
     }
 }
@@ -548,6 +356,187 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optipart_mpisim::FaultPlan;
+    use optipart_scenario::{ElemFamily, HierKind, Workload};
+
+    /// Golden wire bytes (recorded on the commit before the JSON codec and
+    /// the scenario-field table moved out of this file): a seed above 2⁵³,
+    /// a deadline, a fault plan, `budget:null`.
+    #[test]
+    fn request_wire_lines_are_pinned() {
+        let mut a = Scenario::from_seed(7);
+        a.faults = None;
+        let mut b = Scenario::from_seed(0x51a9);
+        b.faults = Some(
+            FaultPlan::new(0x51a9)
+                .with_stragglers(0.25, 2.5)
+                .kill_rank(1, 4),
+        );
+        let mut c = Scenario::from_seed(914776577726420758);
+        c.split_budget = None;
+        c.faults = None;
+        let cases = [
+            (
+                1,
+                a,
+                Some(0.5),
+                r#"{"id":1,"seed":7,"shape":"uniform","n":167,"p":3,"curve":"hilbert","tol":0.05,"budget":32,"machine":"clemson-32","app":"wave","hier":"none","family":"hex","workload":"static","faults":null,"deadline_s":0.5}"#,
+            ),
+            (
+                2,
+                b,
+                None,
+                r#"{"id":2,"seed":20905,"shape":"skewed","n":250,"p":5,"curve":"hilbert","tol":0.6000000000000001,"budget":null,"machine":"clemson-32","app":"laplacian","hier":"none","family":"hex","workload":"front8","faults":"seed=20905,straggler=0.25x2.5,kill=1@4"}"#,
+            ),
+            (
+                u64::MAX,
+                c,
+                None,
+                r#"{"id":18446744073709551615,"seed":914776577726420758,"shape":"skewed","n":315,"p":5,"curve":"morton","tol":0.7000000000000001,"budget":null,"machine":"wisconsin-8","app":"wave","hier":"numa","family":"hex","workload":"static","faults":null}"#,
+            ),
+        ];
+        for (id, scn, deadline_s, golden) in cases {
+            let req = Request {
+                id,
+                scn,
+                deadline_s,
+            };
+            assert_eq!(req.to_json(), golden);
+            let back = Request::from_json(golden).expect("golden line parses");
+            assert_eq!((back.id, back.deadline_s), (id, deadline_s));
+            assert_eq!(back.key(), req.key());
+            assert_eq!(back.to_json(), golden);
+        }
+    }
+
+    /// One golden response line per [`Status`].
+    #[test]
+    fn response_wire_lines_are_pinned() {
+        let payload = Payload {
+            sig: 0x0123_4567_89ab_cdef,
+            elements: 1234,
+            final_p: 7,
+            deaths: 1,
+            lambda: 1.25,
+            achieved_tolerance: 0.1,
+            rounds: 3,
+            splitter_level: 5,
+            cmax: 99,
+            wmax: 200,
+            predicted_tp: 0.000123,
+        };
+        let served = Response {
+            id: 9,
+            status: Status::Ok,
+            payload: Some(payload),
+            replay: None,
+            worker: 2,
+            warm: WarmPath::Hit,
+            batched: 3,
+            virtual_s: 0.5,
+            wall_us: 42,
+            retry_after_s: None,
+            error: None,
+        };
+        let replay = "testkit -- replay --seed 20905 --faults seed=20905,kill=1@4";
+        let turned_away = Response {
+            payload: None,
+            replay: Some(replay.into()),
+            warm: WarmPath::None,
+            batched: 0,
+            virtual_s: 0.0,
+            wall_us: 0,
+            ..served.clone()
+        };
+        let tail = r#","sig":"0x0123456789abcdef","elements":1234,"final_p":7,"deaths":1,"lambda":1.25,"tol_achieved":0.1,"rounds":3,"splitter_level":5,"cmax":99,"wmax":200,"predicted_tp":0.000123}"#;
+        let away = r#"{"id":9,"status":"STATUS","worker":2,"warm":"none","batched":0,"virtual_s":0,"wall_us":0,"replay":"testkit -- replay --seed 20905 --faults seed=20905,kill=1@4","retry_after_s":RETRY}"#;
+        let cases = [
+            (served.clone(), format!(r#"{{"id":9,"status":"ok","worker":2,"warm":"hit","batched":3,"virtual_s":0.5,"wall_us":42{tail}"#)),
+            (
+                Response {
+                    status: Status::Deadline,
+                    warm: WarmPath::Cold,
+                    ..served.clone()
+                },
+                format!(r#"{{"id":9,"status":"deadline","worker":2,"warm":"cold","batched":3,"virtual_s":0.5,"wall_us":42{tail}"#),
+            ),
+            (
+                Response {
+                    status: Status::Shed,
+                    retry_after_s: Some(0.25),
+                    ..turned_away.clone()
+                },
+                away.replace("STATUS", "shed").replace("RETRY", "0.25"),
+            ),
+            (
+                Response {
+                    status: Status::Rejected,
+                    retry_after_s: Some(1e-9),
+                    ..turned_away.clone()
+                },
+                away.replace("STATUS", "rejected").replace("RETRY", "0.000000001"),
+            ),
+            (
+                Response {
+                    status: Status::Failed,
+                    payload: None,
+                    replay: Some(replay.into()),
+                    warm: WarmPath::Replay,
+                    error: Some("chaos-panic: worker 2 pass 0 (after)\n\t\"quoted\\\" \u{1}".into()),
+                    ..served.clone()
+                },
+                r#"{"id":9,"status":"failed","worker":2,"warm":"replay","batched":3,"virtual_s":0.5,"wall_us":42,"replay":"testkit -- replay --seed 20905 --faults seed=20905,kill=1@4","error":"chaos-panic: worker 2 pass 0 (after)\n\t\"quoted\\\" \u0001"}"#.to_string(),
+            ),
+        ];
+        for (resp, golden) in cases {
+            assert_eq!(resp.to_json(), golden);
+        }
+    }
+
+    /// The three one-line requests that used to take the whole server down
+    /// (two allocation aborts, one ladder that never terminates) are
+    /// ordinary parse errors; the limits themselves still pass, and `p = 0`
+    /// still clamps to 1.
+    #[test]
+    fn out_of_range_sizes_are_rejected_at_the_wire() {
+        for (bad, why) in [
+            (
+                r#"{"id":1,"seed":7,"n":100000000000}"#,
+                "n = 100000000000 exceeds the wire limit 4194304",
+            ),
+            (
+                r#"{"id":1,"seed":7,"p":3000000000}"#,
+                "p = 3000000000 exceeds the wire limit 262144",
+            ),
+            (
+                r#"{"id":1,"seed":7,"tol":1e300}"#,
+                "tol = 1e300 is outside [0, 1]",
+            ),
+            (
+                r#"{"id":1,"seed":7,"tol":-0.1}"#,
+                "tol = -0.1 is outside [0, 1]",
+            ),
+            (
+                r#"{"id":1,"seed":7,"tol":"NaN"}"#,
+                "tol = NaN is outside [0, 1]",
+            ),
+            (
+                r#"{"id":1,"seed":7,"tol":1e999}"#,
+                "tol = inf is outside [0, 1]",
+            ),
+        ] {
+            let err = Request::from_json(bad).expect_err(bad);
+            assert!(err.contains(why), "{bad}: {err}");
+        }
+        let edge =
+            Request::from_json(r#"{"id":1,"seed":7,"n":4194304,"p":262144,"tol":1}"#).unwrap();
+        assert_eq!(
+            (edge.scn.n, edge.scn.p, edge.scn.tolerance),
+            (MAX_N, MAX_P, 1.0)
+        );
+        let zero = Request::from_json(r#"{"id":1,"seed":7,"p":0,"tol":0}"#).unwrap();
+        assert_eq!((zero.scn.p, zero.scn.tolerance), (1, 0.0));
+    }
 
     #[test]
     fn request_roundtrips_through_wire_form() {

@@ -13,7 +13,7 @@
 
 use optipart_testkit::corpus;
 use optipart_testkit::scenario::Scenario;
-use optipart_testkit::soak::{check_by_name, run_scenario, soak, CHECKS};
+use optipart_testkit::soak::{check_by_name, soak, CHECKS};
 
 fn usage() -> ! {
     eprintln!(
@@ -105,9 +105,8 @@ fn cmd_replay(args: &[String]) {
             "seed" => seed = Some(parse_seed(it.next().unwrap_or_else(|| usage()))),
             "check" => check = it.next().unwrap_or_else(|| usage()).clone(),
             "no-faults" => overrides.push(("no-faults".into(), String::new())),
-            "shape" | "n" | "p" | "curve" | "tol" | "split-budget" | "machine" | "app"
-            | "faults" | "hier" | "family" | "workload" => overrides.push((
-                flag.to_string(),
+            key if Scenario::KEYS.contains(&key) => overrides.push((
+                key.to_string(),
                 it.next().unwrap_or_else(|| usage()).clone(),
             )),
             _ => usage(),
@@ -116,21 +115,20 @@ fn cmd_replay(args: &[String]) {
     let Some(seed) = seed else { usage() };
     let mut scn = Scenario::from_seed(seed);
     for (key, value) in &overrides {
-        if let Err(e) = corpus::apply_override(&mut scn, key, value) {
+        if let Err(e) = scn.set(key, value) {
             eprintln!("--{key} {value}: {e}");
             std::process::exit(2);
         }
     }
     println!("replaying: {scn}");
-    if check == "all" {
-        run_scenario(&scn);
-    } else {
-        let Some(f) = check_by_name(&check) else {
-            eprintln!("unknown check `{check}`");
-            usage();
-        };
-        f(&scn);
+    if check != "all" && check_by_name(&check).is_none() {
+        eprintln!("unknown check `{check}`");
+        usage();
     }
+    corpus::replay(&corpus::CorpusCase {
+        check: check.clone(),
+        scenario: scn,
+    });
     println!("replay OK ({check})");
 }
 

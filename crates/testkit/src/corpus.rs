@@ -11,13 +11,11 @@
 //! ```
 //!
 //! `seed` is mandatory; every other key overrides the derived scenario
-//! field, exactly like the `testkit replay` flags. `check` selects one
-//! registered check (default `all`).
+//! field through [`Scenario::set`], exactly like the `testkit replay`
+//! flags. `check` selects one registered check (default `all`).
 
-use crate::scenario::{parse_curve, AppKind, ElemFamily, HierKind, MeshShape, Scenario, Workload};
+use crate::scenario::Scenario;
 use crate::soak::{check_by_name, run_scenario};
-use optipart_machine::MachineModel;
-use optipart_mpisim::FaultPlan;
 
 /// A parsed corpus entry.
 #[derive(Clone, Debug)]
@@ -59,46 +57,14 @@ pub fn parse(contents: &str) -> Result<CorpusCase, String> {
     let seed = seed.ok_or("corpus file has no `seed` key")?;
     let mut scenario = Scenario::from_seed(seed);
     for (key, value) in &overrides {
-        apply_override(&mut scenario, key, value)
+        scenario
+            .set(key, value)
             .map_err(|e| format!("override `{key} = {value}`: {e}"))?;
     }
     if check != "all" && check_by_name(&check).is_none() {
         return Err(format!("unknown check `{check}`"));
     }
     Ok(CorpusCase { check, scenario })
-}
-
-/// Applies one field override (shared with the `testkit replay` CLI).
-pub fn apply_override(scn: &mut Scenario, key: &str, value: &str) -> Result<(), String> {
-    match key {
-        "shape" => scn.shape = MeshShape::parse(value).ok_or("unknown shape")?,
-        "n" => scn.n = value.parse().map_err(|_| "bad integer")?,
-        "p" => scn.p = value.parse().map_err(|_| "bad integer")?,
-        "curve" => scn.curve = parse_curve(value).ok_or("unknown curve")?,
-        "tol" => scn.tolerance = value.parse().map_err(|_| "bad float")?,
-        "split-budget" => {
-            scn.split_budget = if value == "none" {
-                None
-            } else {
-                Some(value.parse().map_err(|_| "bad integer")?)
-            }
-        }
-        "machine" => scn.machine = MachineModel::by_name(value).ok_or("unknown machine preset")?,
-        "app" => scn.app = AppKind::parse(value).ok_or("unknown app")?,
-        "faults" => {
-            scn.faults = Some(
-                value
-                    .parse::<FaultPlan>()
-                    .map_err(|e| format!("bad fault spec: {e}"))?,
-            )
-        }
-        "no-faults" => scn.faults = None,
-        "hier" => scn.hier = HierKind::parse(value).ok_or("unknown hierarchy kind")?,
-        "family" => scn.family = ElemFamily::parse(value).ok_or("unknown element family")?,
-        "workload" => scn.workload = Workload::parse(value).ok_or("unknown workload")?,
-        _ => return Err("unknown key".into()),
-    }
-    Ok(())
 }
 
 /// Replays one parsed corpus case, panicking (with the replay command) on

@@ -11,24 +11,8 @@
 //! uses Rust's shortest-round-trip `Display`, so identical traces always
 //! serialise to identical bytes.
 
+use crate::json::quote;
 use crate::tracer::{SpanKind, Tracer};
-
-/// Escapes `s` for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Virtual seconds → Chrome microseconds, rendered deterministically.
 fn us(t: f64) -> String {
@@ -62,9 +46,9 @@ pub fn chrome_trace_json(t: &Tracer) -> String {
 
     for ps in t.phase_spans() {
         ev.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":{},\
+            "{{\"name\":{},\"cat\":\"phase\",\"ph\":\"X\",\"ts\":{},\
              \"dur\":{},\"pid\":0,\"tid\":{p},\"args\":{{\"bytes\":{}}}}}",
-            json_escape(t.name(ps.name)),
+            quote(t.name(ps.name)),
             us(ps.t0),
             us(ps.t1 - ps.t0),
             ps.bytes,
@@ -74,21 +58,22 @@ pub fn chrome_trace_json(t: &Tracer) -> String {
         let args: Vec<String> = d
             .args
             .iter()
-            .map(|&(k, v)| format!("\"{}\":{}", json_escape(t.name(k)), v))
+            .map(|&(k, v)| format!("{}:{}", quote(t.name(k)), v))
             .collect();
         ev.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"decision\",\"ph\":\"i\",\"s\":\"p\",\
+            "{{\"name\":{},\"cat\":\"decision\",\"ph\":\"i\",\"s\":\"p\",\
              \"ts\":{},\"pid\":0,\"tid\":{p},\"args\":{{{}}}}}",
-            json_escape(t.name(d.name)),
+            quote(t.name(d.name)),
             us(d.t),
             args.join(","),
         ));
     }
     for s in t.syncs() {
         ev.push(format!(
-            "{{\"name\":\"sync:{}\",\"cat\":\"sync\",\"ph\":\"i\",\"s\":\"p\",\
+            "{{\"name\":\"sync:{},\"cat\":\"sync\",\"ph\":\"i\",\"s\":\"p\",\
              \"ts\":{},\"pid\":0,\"tid\":{p},\"args\":{{\"blocker\":{}}}}}",
-            json_escape(t.name(s.name)),
+            // The literal minus its opening quote: the prefix sits inside it.
+            &quote(t.name(s.name))[1..],
             us(s.t),
             s.blocker,
         ));
@@ -106,22 +91,22 @@ pub fn chrome_trace_json(t: &Tracer) -> String {
                 String::new()
             };
             ev.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{},\
+                "{{\"name\":{},\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{},\
                  \"dur\":{},\"pid\":0,\"tid\":{r},\"args\":{{\"bytes\":{},\
-                 \"phase\":\"{}\"{wall_arg}}}}}",
-                json_escape(t.name(s.name)),
+                 \"phase\":{}{wall_arg}}}}}",
+                quote(t.name(s.name)),
                 us(s.t0),
                 us(s.t1 - s.t0),
                 s.bytes,
-                json_escape(t.name(s.phase)),
+                quote(t.name(s.phase)),
             ));
         }
     }
     for m in t.marks() {
         ev.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"mark\",\"ph\":\"i\",\"s\":\"t\",\
+            "{{\"name\":{},\"cat\":\"mark\",\"ph\":\"i\",\"s\":\"t\",\
              \"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"value\":{}}}}}",
-            json_escape(t.name(m.name)),
+            quote(t.name(m.name)),
             us(m.t),
             m.rank,
             m.value,
@@ -157,12 +142,6 @@ pub fn chrome_trace_digest(t: &Tracer) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn export_is_valid_shape_and_deterministic() {

@@ -27,7 +27,7 @@
 //! DESIGN.md §15):
 //!
 //! ```text
-//! {"id":12,"seed":914776577726420758,"p":6,"tolerance":0.25,"deadline_s":0.5}
+//! {"id":12,"seed":914776577726420758,"p":6,"tol":0.25,"deadline_s":0.5}
 //! ```
 //!
 //! Responses mirror the request id and add the partition payload plus
@@ -38,24 +38,22 @@
 //! status is non-zero if any line was malformed or oversized, any request
 //! failed on a worker panic, any request was shed or rejected (unless
 //! `--allow-shed`), or `--verify` found a payload mismatch.
+//!
+//! This file is flag parsing, summary printing and exit codes; the line
+//! protocol, the connection loop and the socket listener are
+//! `optipart::serve::front`, the chaos drivers `optipart::serve::chaos`.
 
-use optipart::serve::chaos::{chaos_soak, chaos_stream, client_scripts, ChaosKnobs, ChaosPlan};
-use optipart::serve::soak::{fault_soak, mixed_stream, verify_responses_with, DirectCache};
-use optipart::serve::{Admission, ConnStats, Ingress, Request, Response, ServeConfig, Server};
+use optipart::serve::chaos::{chaos_soak, socket_chaos, ChaosKnobs};
+use optipart::serve::front::{connect_retry, finish, pump, Listener};
+use optipart::serve::protocol::DEFAULT_MAX_LINE;
+use optipart::serve::soak::{fault_soak, mixed_stream, DirectCache};
+use optipart::serve::{Admission, ServeConfig, Server};
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::process::exit;
-use std::sync::mpsc::channel;
-use std::time::{Duration, Instant};
 
 #[path = "../flags.rs"]
 mod flags;
 use flags::{parse_flags, Flags};
-
-/// Byte cap on one request line (`--max-line`): past it the rest of the
-/// line is swallowed, the client gets an error line, and the connection
-/// keeps serving.
-const DEFAULT_MAX_LINE: usize = 64 * 1024;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -97,237 +95,6 @@ fn config(f: &Flags) -> ServeConfig {
     }
 }
 
-/// Everything one drained connection produced: the requests it submitted
-/// and responses it saw (only when verifying) plus its line counters.
-#[derive(Default)]
-struct Conn {
-    reqs: Vec<Request>,
-    resps: Vec<Response>,
-    stats: ConnStats,
-}
-
-/// One `read_line_capped` outcome.
-enum LineRead {
-    /// A complete line (newline stripped) is in the buffer.
-    Line,
-    /// The line blew past the byte cap; its remainder was swallowed up to
-    /// the next newline.
-    Oversized,
-    /// Clean EOF on a line boundary.
-    Eof,
-    /// EOF in the middle of a line — the client vanished mid-write.
-    MidLineEof,
-    Err(std::io::Error),
-}
-
-/// Reads one newline-terminated line into `buf`, never buffering more than
-/// `cap` bytes of it — the guard that keeps one hostile client from
-/// ballooning the server's memory.
-fn read_line_capped(input: &mut impl BufRead, buf: &mut Vec<u8>, cap: usize) -> LineRead {
-    buf.clear();
-    loop {
-        let chunk = match input.fill_buf() {
-            Ok(c) => c,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return LineRead::Err(e),
-        };
-        if chunk.is_empty() {
-            return if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::MidLineEof
-            };
-        }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                let oversized = buf.len() + pos > cap;
-                if !oversized {
-                    buf.extend_from_slice(&chunk[..pos]);
-                }
-                input.consume(pos + 1);
-                return if oversized {
-                    LineRead::Oversized
-                } else {
-                    LineRead::Line
-                };
-            }
-            None => {
-                let take = chunk.len();
-                if buf.len() + take > cap {
-                    input.consume(take);
-                    return swallow_to_newline(input);
-                }
-                buf.extend_from_slice(chunk);
-                input.consume(take);
-            }
-        }
-    }
-}
-
-/// Discards bytes up to and including the next newline. A disconnect
-/// before the newline wins over the oversize verdict: the client is gone.
-fn swallow_to_newline(input: &mut impl BufRead) -> LineRead {
-    loop {
-        let chunk = match input.fill_buf() {
-            Ok(c) => c,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return LineRead::Err(e),
-        };
-        if chunk.is_empty() {
-            return LineRead::MidLineEof;
-        }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                input.consume(pos + 1);
-                return LineRead::Oversized;
-            }
-            None => {
-                let n = chunk.len();
-                input.consume(n);
-            }
-        }
-    }
-}
-
-fn forward<W: Write>(r: Response, out: &mut W, write_ok: &mut bool, conn: &mut Conn, keep: bool) {
-    if *write_ok && writeln!(out, "{}", r.to_json()).is_err() {
-        // The client stopped reading; keep draining for conservation but
-        // stop writing.
-        *write_ok = false;
-        conn.stats.io_errors += 1;
-    }
-    conn.stats.responses += 1;
-    if keep {
-        conn.resps.push(r);
-    }
-}
-
-/// Streams one connection: requests in from `input`, responses out to
-/// `output` as they become ready (arrival order, not submit order). Every
-/// submitted request is answered before this returns — even when the
-/// client disconnected mid-stream, so the server-wide conservation
-/// invariant holds connection by connection.
-fn pump(
-    ingress: &Ingress,
-    mut input: impl BufRead,
-    mut output: impl Write,
-    collect: bool,
-    max_line: usize,
-) -> Conn {
-    let (tx, rx) = channel::<Response>();
-    let mut conn = Conn::default();
-    let mut submitted = 0usize;
-    let mut received = 0usize;
-    let mut write_ok = true;
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        match read_line_capped(&mut input, &mut buf, max_line) {
-            LineRead::Eof => break,
-            LineRead::MidLineEof => {
-                conn.stats.mid_line_eof = true;
-                break;
-            }
-            LineRead::Err(e) => {
-                eprintln!("connection read error: {e}");
-                conn.stats.io_errors += 1;
-                break;
-            }
-            LineRead::Oversized => {
-                conn.stats.lines += 1;
-                conn.stats.oversized += 1;
-                if write_ok
-                    && writeln!(
-                        output,
-                        "{{\"error\":\"request line exceeds {max_line} bytes\"}}"
-                    )
-                    .is_err()
-                {
-                    write_ok = false;
-                    conn.stats.io_errors += 1;
-                }
-            }
-            LineRead::Line => match std::str::from_utf8(&buf) {
-                Err(_) => {
-                    conn.stats.lines += 1;
-                    conn.stats.malformed += 1;
-                    if write_ok
-                        && writeln!(output, "{{\"error\":\"request line is not valid UTF-8\"}}")
-                            .is_err()
-                    {
-                        write_ok = false;
-                        conn.stats.io_errors += 1;
-                    }
-                }
-                Ok(text) => {
-                    let text = text.trim();
-                    if text.is_empty() {
-                        continue;
-                    }
-                    conn.stats.lines += 1;
-                    match Request::from_json(text) {
-                        Ok(req) => {
-                            if collect {
-                                conn.reqs.push(req.clone());
-                            }
-                            ingress.submit_with(req, &tx);
-                            submitted += 1;
-                        }
-                        Err(e) => {
-                            conn.stats.malformed += 1;
-                            if write_ok
-                                && writeln!(output, "{{\"error\":{}}}", json_err(&e)).is_err()
-                            {
-                                write_ok = false;
-                                conn.stats.io_errors += 1;
-                            }
-                        }
-                    }
-                }
-            },
-        }
-        // Forward whatever is already done so the stream stays live.
-        while let Ok(r) = rx.try_recv() {
-            received += 1;
-            forward(r, &mut output, &mut write_ok, &mut conn, collect);
-        }
-        if write_ok {
-            let _ = output.flush();
-        }
-    }
-    // Conservation drain: answer everything this connection submitted.
-    while received < submitted {
-        match rx.recv() {
-            Ok(r) => {
-                received += 1;
-                forward(r, &mut output, &mut write_ok, &mut conn, collect);
-            }
-            // Workers gone — shutdown's conservation check will report it.
-            Err(_) => break,
-        }
-    }
-    if write_ok {
-        let _ = output.flush();
-    }
-    conn.stats.submitted = submitted as u64;
-    conn
-}
-
-fn json_err(e: &str) -> String {
-    let mut s = String::with_capacity(e.len() + 2);
-    s.push('"');
-    for c in e.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-    s
-}
-
 fn cmd_serve(f: &Flags) {
     let cfg = config(f);
     let verify = f.has("verify");
@@ -336,25 +103,24 @@ fn cmd_serve(f: &Flags) {
     let server = Server::start(cfg);
     let ingress = server.ingress();
 
-    let conns: Vec<Conn> = match f.get("socket") {
-        None => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            vec![pump(
-                &ingress,
-                stdin.lock(),
-                BufWriter::new(stdout.lock()),
-                verify,
-                max_line,
-            )]
+    let conns = match f.get("socket") {
+        None => vec![pump(
+            &ingress,
+            std::io::stdin().lock(),
+            BufWriter::new(std::io::stdout().lock()),
+            verify,
+            max_line,
+        )],
+        Some(path) => {
+            let listener =
+                Listener::bind(path).unwrap_or_else(|e| usage(&format!("--socket {path}: {e}")));
+            let accept: usize = f.parse("accept", 1);
+            eprintln!("listening on {path} ({accept} connection(s))");
+            listener.serve(&ingress, accept, verify, max_line)
         }
-        Some(path) => serve_socket(&ingress, path, f.parse("accept", 1), verify, max_line),
     };
-
-    for c in &conns {
-        ingress.fold_connection(&c.stats);
-    }
-    let stats = server.shutdown();
+    let mut cache = DirectCache::new();
+    let (stats, audit) = finish(server, &conns, verify.then_some(&mut cache));
     eprintln!(
         "served {} requests over {} connection(s): {} shed, {} rejected, \
          {} failed, {} engine passes ({} hits, {} replays, {} cold), \
@@ -394,120 +160,23 @@ fn cmd_serve(f: &Flags) {
         );
         failed = true;
     }
-    for (i, c) in conns.iter().enumerate() {
-        if c.stats.responses != c.stats.submitted {
-            eprintln!(
-                "conservation FAILED: connection {i} saw {} responses for {} submitted requests",
-                c.stats.responses, c.stats.submitted
-            );
-            failed = true;
-        }
-    }
-    if verify {
-        let mut cache = DirectCache::new();
-        let (mut served, mut away, mut deadline) = (0usize, 0usize, 0usize);
-        let mut ok = true;
-        for (i, c) in conns.iter().enumerate() {
-            match verify_responses_with(&c.reqs, &c.resps, &mut cache) {
-                Ok(sum) => {
-                    served += sum.served;
-                    away += sum.shed + sum.rejected + sum.failed;
-                    deadline += sum.deadline;
-                }
-                Err(e) => {
-                    eprintln!("verify FAILED (connection {i}): {e}");
-                    ok = false;
-                }
-            }
-        }
-        if ok {
-            eprintln!(
-                "verify: {served} responses bit-identical to direct library calls \
-                 ({} distinct scenarios, {deadline} past deadline, {away} answered \
-                 without a payload)",
-                cache.len(),
-            );
-        } else {
+    match audit {
+        Ok(sum) if verify => eprintln!(
+            "verify: {} responses bit-identical to direct library calls \
+             ({} distinct scenarios, {} past deadline, {} answered \
+             without a payload)",
+            sum.served,
+            sum.distinct,
+            sum.deadline,
+            sum.shed + sum.rejected + sum.failed,
+        ),
+        Ok(_) => {}
+        Err(e) => {
+            eprintln!("connection audit FAILED:\n{e}");
             failed = true;
         }
     }
     exit(if failed { 1 } else { 0 });
-}
-
-/// Accepts `accept` clients on a Unix socket, each drained by its own
-/// thread against the shared worker pool, then joins them all (graceful
-/// drain: in-flight requests are answered before shutdown).
-fn serve_socket(
-    ingress: &Ingress,
-    path: &str,
-    accept: usize,
-    collect: bool,
-    max_line: usize,
-) -> Vec<Conn> {
-    let _ = std::fs::remove_file(path);
-    let listener =
-        UnixListener::bind(path).unwrap_or_else(|e| usage(&format!("--socket {path}: {e}")));
-    eprintln!("listening on {path} ({accept} connection(s))");
-    let mut handles = Vec::new();
-    for cid in 0..accept {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let ing = ingress.clone();
-                let h = std::thread::Builder::new()
-                    .name(format!("optipart-conn-{cid}"))
-                    .spawn(move || handle_conn(ing, stream, collect, max_line))
-                    .expect("spawn connection thread");
-                handles.push(h);
-            }
-            Err(e) => {
-                eprintln!("accept failed: {e}; stopping accept loop");
-                break;
-            }
-        }
-    }
-    let conns = handles
-        .into_iter()
-        .map(|h| {
-            h.join().unwrap_or_else(|_| {
-                // A panicked connection thread costs that connection, not
-                // the server.
-                let mut c = Conn::default();
-                c.stats.io_errors += 1;
-                c
-            })
-        })
-        .collect();
-    let _ = std::fs::remove_file(path);
-    conns
-}
-
-fn handle_conn(ingress: Ingress, stream: UnixStream, collect: bool, max_line: usize) -> Conn {
-    let reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(e) => {
-            // One bad accept must not kill the server: log, count, move on.
-            eprintln!("connection setup failed: {e}");
-            let mut c = Conn::default();
-            c.stats.io_errors += 1;
-            return c;
-        }
-    };
-    pump(&ingress, reader, BufWriter::new(stream), collect, max_line)
-}
-
-fn connect_retry(path: &str, wait_ms: u64) -> Result<UnixStream, String> {
-    let deadline = Instant::now() + Duration::from_millis(wait_ms);
-    loop {
-        match UnixStream::connect(path) {
-            Ok(s) => return Ok(s),
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(format!("connect {path}: {e}"));
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
 }
 
 /// Streams a request file (or stdin) to a serving socket and echoes the
@@ -632,10 +301,9 @@ fn chaos_fail(repro: &str, msg: &str) -> ! {
 ///    worker (served payloads for common ids must match bit-for-bit; the
 ///    plan's client-side chaos is worker-count-independent by
 ///    construction, so the intersection is large).
-/// 2. **Socket phase** — the same plan driven over a real Unix socket:
-///    one OS thread per scripted client, disconnecting clients vanish
-///    mid-line, slow readers stall; conservation and bit-identity are
-///    asserted on whatever nondeterministic interleaving happens.
+/// 2. **Socket phase** — [`socket_chaos`]: the same plan driven over a
+///    real Unix socket; conservation and bit-identity are asserted on
+///    whatever nondeterministic interleaving happens.
 fn cmd_chaos(f: &Flags) {
     let requests: usize = f.parse("requests", 1000);
     let seed: u64 = f.parse("seed", 20260808);
@@ -722,147 +390,21 @@ fn cmd_chaos(f: &Flags) {
     );
 
     if !f.has("no-socket") {
-        socket_chaos(seed, requests, cfg, knobs, &mut cache)
+        let (sum, stats) = socket_chaos(seed, requests, cfg, knobs, &mut cache)
             .unwrap_or_else(|e| chaos_fail(&repro, &e));
+        eprintln!(
+            "  socket phase: {} connection(s), {} responses conserved \
+             ({} served bit-identical to direct calls), {} mid-line \
+             disconnect(s), {} bad line(s), {} worker panic(s)",
+            stats.connections,
+            sum.checked,
+            sum.served,
+            stats.disconnects,
+            stats.malformed_lines + stats.oversized_lines,
+            stats.panics,
+        );
     }
     eprintln!("chaos OK");
-}
-
-/// Phase 2 of the chaos subcommand: the plan's client scripts written over
-/// a real Unix socket by concurrent OS threads.
-fn socket_chaos(
-    seed: u64,
-    requests: usize,
-    cfg: ServeConfig,
-    knobs: ChaosKnobs,
-    cache: &mut DirectCache,
-) -> Result<(), String> {
-    let reqs = chaos_stream(seed, requests);
-    let plan = ChaosPlan::generate(seed, requests, cfg.workers, &knobs);
-    let scripts = client_scripts(seed, &reqs, &plan, knobs.clients);
-    let clients = scripts.len();
-    let stall_every = knobs.stall_every;
-    let path = format!("/tmp/optipart-chaos-{}.sock", std::process::id());
-
-    let server = Server::start_chaos(cfg, plan.panics.clone());
-    let ingress = server.ingress();
-    let _ = std::fs::remove_file(&path);
-    let listener = UnixListener::bind(&path).map_err(|e| format!("bind {path}: {e}"))?;
-
-    let accept_thread = {
-        let ing = ingress.clone();
-        std::thread::spawn(move || -> Vec<Conn> {
-            let mut handles = Vec::new();
-            for cid in 0..clients {
-                let Ok((stream, _)) = listener.accept() else {
-                    break;
-                };
-                let ing = ing.clone();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("chaos-conn-{cid}"))
-                        .spawn(move || handle_conn(ing, stream, true, DEFAULT_MAX_LINE))
-                        .expect("spawn connection thread"),
-                );
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        let mut c = Conn::default();
-                        c.stats.io_errors += 1;
-                        c
-                    })
-                })
-                .collect()
-        })
-    };
-    let client_threads: Vec<_> = scripts
-        .into_iter()
-        .map(|script| {
-            let path = path.clone();
-            std::thread::spawn(move || run_chaos_client(&path, &script, stall_every))
-        })
-        .collect();
-    for t in client_threads {
-        t.join().map_err(|_| "chaos client thread panicked")?;
-    }
-    let conns = accept_thread
-        .join()
-        .map_err(|_| "accept thread panicked".to_string())?;
-    for c in &conns {
-        ingress.fold_connection(&c.stats);
-    }
-    let stats = server.shutdown();
-    let _ = std::fs::remove_file(&path);
-    stats.conservation()?;
-
-    let (mut served, mut answered) = (0usize, 0usize);
-    for (i, c) in conns.iter().enumerate() {
-        if c.stats.responses != c.stats.submitted {
-            return Err(format!(
-                "socket connection {i}: {} responses for {} submitted requests",
-                c.stats.responses, c.stats.submitted
-            ));
-        }
-        let sum = verify_responses_with(&c.reqs, &c.resps, cache)
-            .map_err(|e| format!("socket connection {i}: {e}"))?;
-        served += sum.served;
-        answered += sum.checked;
-    }
-    eprintln!(
-        "  socket phase: {} connection(s), {answered} responses conserved \
-         ({served} served bit-identical to direct calls), {} mid-line \
-         disconnect(s), {} bad line(s), {} worker panic(s)",
-        conns.len(),
-        stats.disconnects,
-        stats.malformed_lines + stats.oversized_lines,
-        stats.panics,
-    );
-    Ok(())
-}
-
-/// One scripted chaos client: writes its (pre-damaged) lines, optionally
-/// vanishes mid-line, and reads responses on a side thread — stalling
-/// every `stall_every` lines to back the server's writes up briefly.
-fn run_chaos_client(path: &str, script: &optipart::serve::chaos::ClientScript, stall_every: usize) {
-    let Ok(stream) = connect_retry(path, 5000) else {
-        return;
-    };
-    let rd = stream.try_clone().ok().map(|r| {
-        std::thread::spawn(move || {
-            let mut n = 0usize;
-            for line in BufReader::new(r).lines() {
-                if line.is_err() {
-                    break;
-                }
-                n += 1;
-                if stall_every > 0 && n.is_multiple_of(stall_every) {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-        })
-    });
-    {
-        let mut w = BufWriter::new(&stream);
-        for (_, line) in &script.lines {
-            let _ = w.write_all(line);
-            let _ = w.write_all(b"\n");
-        }
-        if script.disconnects {
-            // Vanish mid-line: half a request, no newline, gone.
-            let _ = w.write_all(b"{\"id\":404,\"seed\":12");
-        }
-        let _ = w.flush();
-    }
-    if script.disconnects {
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-    } else {
-        let _ = stream.shutdown(std::net::Shutdown::Write);
-    }
-    if let Some(h) = rd {
-        let _ = h.join();
-    }
 }
 
 fn usage(err: &str) -> ! {

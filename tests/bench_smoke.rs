@@ -89,3 +89,25 @@ fn compare_gate_trips_on_injected_regression() {
     cur.kernels[0].allocs_per_iter = 100;
     assert_eq!(compare_reports(&base, &cur, 10.0, true).len(), 1);
 }
+
+/// The committed reports survive the reader and the writer: parse →
+/// serialise → parse is the identity on `BENCH_vm.json`, and the committed
+/// baseline compares clean against itself (the reader feeds the gate the
+/// same numbers the writer recorded).
+#[test]
+fn committed_reports_round_trip_through_the_codec() {
+    let read = |name: &str| {
+        let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        Report::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let vm = read("BENCH_vm.json");
+    assert!(vm.kernels.len() >= 20 && !vm.derived.is_empty());
+    assert_eq!(Report::from_json(&vm.to_json()), Ok(vm));
+    let baseline = read("BENCH_baseline.json");
+    assert_eq!(
+        compare_reports(&baseline, &baseline, 10.0, false),
+        [],
+        "a report must compare clean against itself"
+    );
+}

@@ -25,8 +25,10 @@ use optipart_testkit::octree::balance::{balance21, is_balanced21};
 use optipart_testkit::octree::linear::{domain_volume, is_linear, volume_u128};
 use optipart_testkit::octree::neighbors::{face_adjacent_leaves, find_leaf};
 use optipart_testkit::octree::{sample_points, tree_from_points, Distribution, LinearTree};
+use optipart_testkit::scenario::Scenario;
 use optipart_testkit::sfc::cell::Coord;
 use optipart_testkit::sfc::{hilbert, morton, Cell2, Cell3, Curve, SfcKey, MAX_DEPTH};
+use optipart_testkit::trace::json::{self, Value};
 
 /// `n` independent input streams for the property numbered `stream`.
 fn cases(stream: u64, n: u64) -> impl Iterator<Item = (u64, SplitMix64)> {
@@ -561,4 +563,165 @@ fn constant_vectors_vanish_in_the_interior() {
             }
         }
     }
+}
+
+// -------------------------------------------------------- text formats --
+
+/// A string mixing every character class the JSON escaper treats
+/// differently: each control character, the two escaped punctuation marks,
+/// plain ASCII, and 2-, 3- and 4-byte UTF-8.
+fn hostile_string(r: &mut SplitMix64) -> String {
+    (0..r.next_below(40))
+        .map(|_| match r.next_below(6) {
+            0 => char::from(r.next_below(0x20) as u8),
+            1 => ['"', '\\', '/'][r.next_below(3) as usize],
+            2 => char::from(0x20 + r.next_below(0x5f) as u8),
+            3 => ['é', 'ß', 'λ'][r.next_below(3) as usize],
+            4 => ['→', '∑', '\u{ffff}'][r.next_below(3) as usize],
+            _ => ['🌍', '𝛼', '\u{10ffff}'][r.next_below(3) as usize],
+        })
+        .collect()
+}
+
+/// `parse ∘ quote` is the identity on strings — as a bare value, as an
+/// object key, inside an array — and a `\u` escape that is not a scalar
+/// value is an error, never a silent U+FFFD.
+#[test]
+fn json_strings_round_trip_exactly() {
+    let mut controls_seen = [false; 0x20];
+    for (case, mut r) in cases(50, 600) {
+        let s = hostile_string(&mut r);
+        for c in s.chars().filter(|&c| (c as u32) < 0x20) {
+            controls_seen[c as usize] = true;
+        }
+        let q = json::quote(&s);
+        assert_eq!(json::parse(&q), Ok(Value::Str(s.clone())), "case {case}");
+        let doc = format!("{{{q}:[{q},{{{q}:{q}}}]}}");
+        let inner = Value::Obj(vec![(s.clone(), Value::Str(s.clone()))]);
+        let want = Value::Obj(vec![(
+            s.clone(),
+            Value::Arr(vec![Value::Str(s.clone()), inner]),
+        )]);
+        assert_eq!(json::parse(&doc), Ok(want), "case {case}");
+    }
+    assert!(
+        controls_seen.iter().all(|&b| b),
+        "every control character drawn"
+    );
+    for lone in ["\"\\ud83d\"", "\"\\udc00 tail\"", "\"\\ud83d\\ude00\""] {
+        assert!(json::parse(lone).is_err(), "{lone}");
+    }
+}
+
+/// Numbers keep their text: what goes in as `u64::MAX` comes out as
+/// `u64::MAX`, never rounded through an `f64`.
+#[test]
+fn json_numbers_keep_their_text() {
+    for (case, mut r) in cases(51, 300) {
+        let n = match case {
+            0 => u64::MAX,
+            1 => (1 << 53) + 1,
+            _ => r.next_u64(),
+        };
+        let doc = format!("{{\"seed\": {n} , \"xs\":[{n},-{n}.5e-3]}}");
+        let v = json::parse(&doc).expect("well-formed");
+        assert_eq!(
+            v.get("seed"),
+            Some(&Value::Num(n.to_string())),
+            "case {case}"
+        );
+        let Some(Value::Num(text)) = v.get("seed") else {
+            unreachable!()
+        };
+        assert_eq!(text.parse::<u64>(), Ok(n), "case {case}");
+        assert_eq!(
+            v.get("xs"),
+            Some(&Value::Arr(vec![
+                Value::Num(n.to_string()),
+                Value::Num(format!("-{n}.5e-3"))
+            ])),
+            "case {case}"
+        );
+    }
+}
+
+/// `Scenario::set` reads back exactly what `replay_cmd` writes: rebuild a
+/// randomly overridden scenario from its own replay command — the seed
+/// plus `--key value` pairs, fed to `set` the way `testkit replay` feeds
+/// them — and land on the same scenario.
+#[test]
+fn scenario_set_inverts_replay_cmd() {
+    let mut overridden = 0;
+    for (case, mut r) in cases(52, 200) {
+        let mut scn = Scenario::from_seed(r.next_u64());
+        let donor = Scenario::from_seed(r.next_u64());
+        // Each field independently keeps its derivation or takes the
+        // donor's; optional fields also try `None`.
+        if r.next_below(3) == 0 {
+            scn.shape = donor.shape;
+        }
+        if r.next_below(3) == 0 {
+            scn.n = donor.n;
+        }
+        if r.next_below(3) == 0 {
+            scn.p = donor.p;
+        }
+        if r.next_below(3) == 0 {
+            scn.curve = donor.curve;
+        }
+        if r.next_below(3) == 0 {
+            scn.tolerance = donor.tolerance;
+        }
+        match r.next_below(4) {
+            0 => scn.split_budget = donor.split_budget,
+            1 => scn.split_budget = None,
+            _ => {}
+        }
+        if r.next_below(3) == 0 {
+            scn.machine = donor.machine.clone();
+        }
+        if r.next_below(3) == 0 {
+            scn.app = donor.app;
+        }
+        match r.next_below(4) {
+            0 => scn.faults = donor.faults.clone(),
+            1 => scn.faults = None,
+            _ => {}
+        }
+        if r.next_below(3) == 0 {
+            scn.hier = donor.hier;
+        }
+        if r.next_below(3) == 0 {
+            scn.family = donor.family;
+        }
+        if r.next_below(3) == 0 {
+            scn.workload = donor.workload;
+        }
+
+        let cmd = scn.replay_cmd();
+        let (_, flags) = cmd
+            .split_once(" replay ")
+            .expect("a testkit replay command");
+        let mut words = flags.split(' ');
+        assert_eq!(words.next(), Some("--seed"), "{cmd}");
+        let seed: u64 = words.next().and_then(|s| s.parse().ok()).expect("a seed");
+        let mut back = Scenario::from_seed(seed);
+        while let Some(flag) = words.next() {
+            let key = flag.strip_prefix("--").expect("only flags follow the seed");
+            let value = if Scenario::KEYS.contains(&key) {
+                words.next().expect("a keyed flag has a value")
+            } else {
+                ""
+            };
+            back.set(key, value)
+                .unwrap_or_else(|e| panic!("case {case}: {e}\n  {cmd}"));
+            overridden += 1;
+        }
+        assert_eq!(back.to_string(), scn.to_string(), "case {case}: {cmd}");
+        assert_eq!(back.replay_cmd(), cmd, "case {case}");
+    }
+    assert!(
+        overridden > 400,
+        "the overrides must actually fire: {overridden}"
+    );
 }

@@ -38,10 +38,12 @@ fn finish(child: Child) -> (i32, String, String) {
 }
 
 /// The stdin corpus: two good requests surrounded by a parse error, a
-/// missing `seed`, an oversized line, invalid UTF-8, and a mid-line EOF.
-/// Every hostile line earns an `{"error":...}` response, both good
-/// requests serve (verified against the library by `--verify`), and the
-/// exit status is poisoned by the bad lines.
+/// missing `seed`, an oversized line, invalid UTF-8, three out-of-range
+/// sizes (each of which used to abort or hang the whole process: a 1.2 TB
+/// and a 24 GB allocation, and a tolerance ladder that never reaches 0),
+/// and a mid-line EOF. Every hostile line earns an `{"error":...}`
+/// response, both good requests serve (verified against the library by
+/// `--verify`), and the exit status is the ordinary "malformed" 1.
 #[test]
 fn stdin_corpus_isolates_each_hostile_line() {
     let mut child = spawn_serve(&["--workers", "2", "--max-line", "256", "--verify"]);
@@ -54,6 +56,15 @@ fn stdin_corpus_isolates_each_hostile_line() {
         let oversized = format!("{{\"id\":4,\"seed\":9,{}}}\n", "x".repeat(400));
         stdin.write_all(oversized.as_bytes()).unwrap(); // past --max-line
         stdin.write_all(b"\xff\xfe\x80 garbage\n").unwrap(); // invalid UTF-8
+        stdin
+            .write_all(b"{\"id\":8,\"seed\":7,\"n\":100000000000}\n")
+            .unwrap();
+        stdin
+            .write_all(b"{\"id\":9,\"seed\":7,\"p\":3000000000}\n")
+            .unwrap();
+        stdin
+            .write_all(b"{\"id\":10,\"seed\":7,\"tol\":1e300}\n")
+            .unwrap();
         stdin.write_all(good_line(6, 778).as_bytes()).unwrap();
         stdin.write_all(b"\n").unwrap();
         stdin.write_all(b"{\"id\":7,\"seed\":7").unwrap(); // mid-line EOF
@@ -61,11 +72,17 @@ fn stdin_corpus_isolates_each_hostile_line() {
     drop(child.stdin.take());
     let (code, stdout, stderr) = finish(child);
 
-    assert_ne!(code, 0, "hostile lines must poison the exit status");
+    assert_eq!(
+        code, 1,
+        "hostile lines poison the exit status, nothing more:\n{stderr}"
+    );
     let errors = stdout.matches("\"error\":").count();
-    assert_eq!(errors, 4, "one error line per hostile line:\n{stdout}");
+    assert_eq!(errors, 7, "one error line per hostile line:\n{stdout}");
     assert!(stdout.contains("exceeds 256 bytes"), "{stdout}");
     assert!(stdout.contains("not valid UTF-8"), "{stdout}");
+    assert!(stdout.contains("n = 100000000000 exceeds"), "{stdout}");
+    assert!(stdout.contains("p = 3000000000 exceeds"), "{stdout}");
+    assert!(stdout.contains("tol = 1e300 is outside"), "{stdout}");
     for id in [1u64, 6] {
         let served = stdout
             .lines()
