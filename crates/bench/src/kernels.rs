@@ -228,74 +228,6 @@ pub fn registry() -> Vec<Kernel> {
             build: |n| quality_kernel(n, true),
         },
         Kernel {
-            name: "alltoallv_dense_6nbr",
-            group: "collectives",
-            full_n: 512,
-            tiny_n: 16,
-            build: |p| {
-                let elements = (p * 6 * 64) as u64;
-                Prepared {
-                    elements,
-                    run: Box::new(move || {
-                        let mut e = engine(p);
-                        let send: Vec<Vec<Vec<u64>>> = (0..p)
-                            .map(|r| {
-                                (0..p)
-                                    .map(|d| {
-                                        if (1..=6).any(|k| (r + k * 7) % p == d) {
-                                            vec![r as u64; 64]
-                                        } else {
-                                            vec![]
-                                        }
-                                    })
-                                    .collect()
-                            })
-                            .collect();
-                        let recv = e.alltoallv(send, AllToAllAlgo::Direct);
-                        let mut acc = 0u64;
-                        for row in &recv {
-                            for buf in row {
-                                acc = mix(acc, buf.len() as u64);
-                                acc = mix(acc, buf.first().copied().unwrap_or(0));
-                            }
-                        }
-                        acc
-                    }),
-                }
-            },
-        },
-        Kernel {
-            name: "alltoallv_sparse_6nbr",
-            group: "collectives",
-            full_n: 512,
-            tiny_n: 16,
-            build: |p| {
-                let elements = (p * 6 * 64) as u64;
-                Prepared {
-                    elements,
-                    run: Box::new(move || {
-                        let mut e = engine(p);
-                        let send: Vec<Vec<(usize, Vec<u64>)>> = (0..p)
-                            .map(|r| {
-                                (1..=6)
-                                    .map(|k| ((r + k * 7) % p, vec![r as u64; 64]))
-                                    .collect()
-                            })
-                            .collect();
-                        let recv = e.alltoallv_sparse(send, AllToAllAlgo::Direct);
-                        let mut acc = 0u64;
-                        for row in &recv {
-                            for (src, buf) in row {
-                                acc = mix(acc, *src as u64);
-                                acc = mix(acc, buf.len() as u64);
-                            }
-                        }
-                        acc
-                    }),
-                }
-            },
-        },
-        Kernel {
             name: "alltoallv_by_hash",
             group: "collectives",
             full_n: 512,

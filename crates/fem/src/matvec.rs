@@ -1,7 +1,12 @@
 //! The Laplacian matvec with halo exchange — the measured kernel of §5.4.
+//!
+//! One matvec is one arena exchange: every `send_to` list is one segment of
+//! an [`AlltoallvArena`], and because the arena delivers in `(dst, src,
+//! submission)` order while `recv_from` is sorted by owner, rank `r`'s ghost
+//! array *is* the arena's contiguous receive slice for `r`.
 
 use crate::mesh::{DistMesh, Slot};
-use optipart_mpisim::{AllToAllAlgo, DistVec, Engine};
+use optipart_mpisim::{AllToAllAlgo, AlltoallvArena, DistVec, Engine};
 
 /// Phase label for the halo exchange (communication share of the matvec).
 pub const PHASE_GHOST: &str = "matvec_ghost";
@@ -31,58 +36,39 @@ pub fn laplacian_matvec<const D: usize>(
 ) -> (DistVec<f64>, MatvecStats) {
     assert_eq!(x.p(), mesh.p());
     let t0 = engine.makespan();
-    let p = mesh.p();
     let locals = &mesh.locals;
 
-    // Halo exchange: gather requested values per destination (sparse — a
-    // rank only talks to its geometric neighbours).
-    let send_rows: Vec<Vec<(usize, Vec<f64>)>> = engine.phase(PHASE_GHOST, |e| {
-        e.compute_map(x, |r, buf| {
-            let lm = &locals[r];
-            let mut rows: Vec<(usize, Vec<f64>)> = Vec::with_capacity(lm.send_to.len());
-            let mut touched = 0usize;
+    // Halo exchange: each owner gathers the values its requesters asked
+    // for, one segment per link (sparse — a rank only talks to its
+    // geometric neighbours).
+    let sends = || locals.iter().flat_map(|lm| &lm.send_to);
+    let ghost_elements: usize = sends().map(|(_, list)| list.len()).sum();
+    let mut halo = AlltoallvArena::with_capacity(ghost_elements, sends().count());
+    engine.phase(PHASE_GHOST, |e| {
+        e.compute(x, |r, _| {
+            let touched: usize = locals[r].send_to.iter().map(|(_, l)| l.len()).sum();
+            touched as f64 * 8.0
+        });
+        for (r, lm) in locals.iter().enumerate() {
+            let buf = x.rank(r);
             for (req, list) in &lm.send_to {
-                let mut vals = Vec::with_capacity(list.len());
-                for &i in list {
-                    vals.push(buf[i as usize]);
-                }
-                touched += list.len();
-                rows.push((*req, vals));
+                halo.send(r, *req, list.iter().map(|&i| buf[i as usize]));
             }
-            (touched as f64 * 8.0, rows)
-        })
+        }
     });
-    let ghost_elements: u64 = send_rows
-        .iter()
-        .flat_map(|rows| rows.iter().map(|(_, v)| v.len() as u64))
-        .sum();
-    let recv = engine.phase(PHASE_GHOST, |e| {
-        e.alltoallv_sparse(send_rows, AllToAllAlgo::Hypercube)
+    engine.phase(PHASE_GHOST, |e| {
+        e.alltoallv_flat(&mut halo, AllToAllAlgo::Hypercube)
     });
-
-    // Assemble ghost arrays per rank: both `recv[r]` and `recv_from` are
-    // sorted by the peer's rank, and owners reply with exactly the
-    // requested lists, so they zip 1:1.
-    let ghosts: Vec<Vec<f64>> = (0..p)
-        .map(|r| {
-            let lm = &locals[r];
-            let mut g = Vec::with_capacity(lm.num_ghosts);
-            debug_assert_eq!(recv[r].len(), lm.recv_from.len(), "halo peer mismatch");
-            for ((owner, list), (src, vals)) in lm.recv_from.iter().zip(&recv[r]) {
-                debug_assert_eq!(owner, src);
-                debug_assert_eq!(vals.len(), list.len(), "halo reply length mismatch");
-                g.extend_from_slice(vals);
-            }
-            g
-        })
-        .collect();
 
     // Stencil pass.
     let alpha = (2 * D + 2) as f64;
     let ys: Vec<Vec<f64>> = engine.phase(PHASE_STENCIL, |e| {
         e.compute_map(x, |r, buf| {
             let lm = &locals[r];
-            let gh = &ghosts[r];
+            // Owners reply with exactly the requested lists, in owner
+            // order: the delivered slice is the ghost array.
+            let gh = halo.recv_for(r);
+            debug_assert_eq!(gh.len(), lm.num_ghosts, "halo reply length mismatch");
             let mut y = vec![0.0f64; buf.len()];
             for (i, yi) in y.iter_mut().enumerate() {
                 let mut acc = lm.diag[i] * buf[i];
@@ -100,7 +86,7 @@ pub fn laplacian_matvec<const D: usize>(
     });
 
     let stats = MatvecStats {
-        ghost_elements,
+        ghost_elements: ghost_elements as u64,
         seconds: engine.makespan() - t0,
     };
     (DistVec::from_parts(ys), stats)
@@ -108,7 +94,7 @@ pub fn laplacian_matvec<const D: usize>(
 
 /// Distributed dot product `xᵀ y` (one all-reduce).
 pub fn dot(engine: &mut Engine, x: &mut DistVec<f64>, y: &DistVec<f64>) -> f64 {
-    let parts: Vec<Vec<f64>> = y.parts().to_vec();
+    let parts = y.parts();
     let local: Vec<f64> = engine.compute_map(x, |r, buf| {
         let s: f64 = buf.iter().zip(&parts[r]).map(|(a, b)| a * b).sum();
         (buf.len() as f64 * 16.0, s)
@@ -127,7 +113,7 @@ pub fn norm2(engine: &mut Engine, x: &mut DistVec<f64>) -> f64 {
 
 /// `y ← y + a·x` (axpy), charged as streaming traffic.
 pub fn axpy(engine: &mut Engine, a: f64, x: &DistVec<f64>, y: &mut DistVec<f64>) {
-    let parts: Vec<Vec<f64>> = x.parts().to_vec();
+    let parts = x.parts();
     engine.compute(y, |r, buf| {
         for (yi, xi) in buf.iter_mut().zip(&parts[r]) {
             *yi += a * xi;

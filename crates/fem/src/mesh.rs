@@ -1,14 +1,19 @@
 //! Distributed octree mesh with ghost layers and FV Laplacian coefficients.
 //!
 //! Built from a partitioned linear octree (the output of any of the
-//! `optipart-core` partitioners). Construction is a two-phase exchange:
+//! `optipart-core` partitioners). Construction is three exchanges, each one
+//! [`AlltoallvArena`] (so each `Alltoallv` is one arena exchange, delivered
+//! grouped by destination, then source):
 //!
 //! 1. every rank probes the sample points behind each face of each local
 //!    cell; probes whose owner (by splitter lookup) is remote are shipped to
-//!    that owner with one `Alltoallv`;
+//!    that owner, one segment per owner;
 //! 2. owners resolve each probe to their local leaf and reply with the leaf
-//!    cell and its local index; requesters deduplicate the replies into
-//!    static ghost receive lists (and the symmetric send lists).
+//!    cell and its local index, one segment per probe segment; requesters
+//!    sort and deduplicate each owner's reply into a static ghost receive
+//!    list and attach the couplings;
+//! 3. the receive lists travel to their owners and become the symmetric
+//!    send lists.
 //!
 //! The per-face coupling coefficient is the finite-volume transmissibility
 //! `κ = A_f / d` (shared face area over centre distance, in unit-cube
@@ -16,7 +21,7 @@
 //! zero Dirichlet conditions and making the operator symmetric positive
 //! definite.
 
-use optipart_mpisim::{AllToAllAlgo, DistVec, Engine};
+use optipart_mpisim::{par, AllToAllAlgo, AlltoallvArena, DistVec, Engine};
 use optipart_octree::neighbors::overlapping_leaves_keyed;
 use optipart_sfc::{Cell, Curve, KeyedCell, SfcKey, MAX_DEPTH};
 
@@ -39,7 +44,8 @@ pub struct LocalMesh {
     /// boundary faces.
     pub diag: Vec<f64>,
     /// Ghost receive lists: `(owner rank, remote local indices)`, sorted by
-    /// rank; ghost slot `g` is position `g` in their concatenation.
+    /// rank and, within a rank, by index; ghost slot `g` is position `g` in
+    /// their concatenation.
     pub recv_from: Vec<(usize, Vec<u32>)>,
     /// Ghost send lists: `(requester rank, local indices)`, mirroring the
     /// requesters' `recv_from` entry for this rank, order preserved.
@@ -134,10 +140,12 @@ impl<const D: usize> DistMesh<D> {
         }
 
         // ---- Phase 1: local adjacency + probe generation ----------------
+        // Per rank: the local mesh, its probes sorted by owner (cell order
+        // kept within an owner) and the `(owner, count)` runs of that order.
         let elem_bytes = std::mem::size_of::<KeyedCell<D>>() as f64;
-        let sp = splitters.clone();
+        let sp = &splitters;
         #[allow(clippy::type_complexity)]
-        let phase1: Vec<(LocalMesh, Vec<(usize, Probe<D>)>)> =
+        let phase1: Vec<(LocalMesh, Vec<Probe<D>>, Vec<(u32, u32)>)> =
             engine.compute_map(&mut cells, |r, buf| {
                 let mut lm = LocalMesh {
                     entries: vec![Vec::new(); buf.len()],
@@ -147,7 +155,7 @@ impl<const D: usize> DistMesh<D> {
                 // Rank r owns keys in [lo_r, hi_r).
                 let lo_r = if r == 0 { SfcKey::MIN } else { sp[r - 1] };
                 let hi_r = if r == p - 1 { SfcKey::MAX } else { sp[r] };
-                let mut probes: Vec<(usize, Probe<D>)> = Vec::new();
+                let mut found: Vec<(u32, Probe<D>)> = Vec::new();
                 for (i, kc) in buf.iter().enumerate() {
                     for axis in 0..D {
                         for dir in [-1i8, 1] {
@@ -176,15 +184,13 @@ impl<const D: usize> DistMesh<D> {
                                             }
                                         }
                                     } else {
-                                        for pt in face_probes(&region, axis, dir) {
-                                            let key = SfcKey::of(&Cell::<D>::from_point(pt), curve);
-                                            let owner = crate::mesh::owner_of(&sp, &key);
-                                            probes.push((
-                                                owner,
-                                                Probe {
-                                                    point: pt,
-                                                    src_cell: i as u32,
-                                                },
+                                        for point in face_probes(&region, axis, dir) {
+                                            let key =
+                                                SfcKey::of(&Cell::<D>::from_point(point), curve);
+                                            let src_cell = i as u32;
+                                            found.push((
+                                                owner_of(sp, &key) as u32,
+                                                Probe { point, src_cell },
                                             ));
                                         }
                                     }
@@ -193,141 +199,141 @@ impl<const D: usize> DistMesh<D> {
                         }
                     }
                 }
-                (buf.len() as f64 * elem_bytes * (2 * D) as f64, (lm, probes))
+                found.sort_by_key(|&(owner, _)| owner);
+                let mut runs: Vec<(u32, u32)> = Vec::new();
+                for &(owner, _) in &found {
+                    match runs.last_mut() {
+                        Some((o, len)) if *o == owner => *len += 1,
+                        _ => runs.push((owner, 1)),
+                    }
+                }
+                let probes = found.iter().map(|&(_, pr)| pr).collect();
+                let cost = buf.len() as f64 * elem_bytes * (2 * D) as f64;
+                (cost, (lm, probes, runs))
             });
 
-        let mut locals: Vec<LocalMesh> = Vec::with_capacity(p);
-        let mut probe_rows: Vec<Vec<(usize, Vec<Probe<D>>)>> = Vec::with_capacity(p);
-        for (lm, mut probes) in phase1 {
-            locals.push(lm);
-            probes.sort_by_key(|(owner, _)| *owner);
-            let mut row: Vec<(usize, Vec<Probe<D>>)> = Vec::new();
-            for (owner, pr) in probes {
-                match row.last_mut() {
-                    Some((o, list)) if *o == owner => list.push(pr),
-                    _ => row.push((owner, vec![pr])),
-                }
-            }
-            probe_rows.push(row);
-        }
-
         // ---- Phase 2: ship probes, resolve, reply ------------------------
-        let mut recv_probes = engine.alltoallv_sparse(probe_rows, AllToAllAlgo::Hypercube);
-        // recv_probes[owner] : (src, probes) pairs for `owner` to resolve.
-        let reply_rows: Vec<Vec<(usize, Vec<Resolved<D>>)>> = {
-            // Resolve in parallel per owner (read-only on cells).
-            let cells_ref = &cells;
-            use optipart_mpisim::par;
-            par::par_map_mut(&mut recv_probes, |owner, rows| {
-                let rows = std::mem::take(rows);
-                let buf = cells_ref.rank(owner);
-                rows.into_iter()
-                    .map(|(src, probes)| {
-                        let resolved = probes
-                            .into_iter()
-                            .filter_map(|pr| {
-                                let cell = Cell::<D>::from_point(pr.point);
-                                let key = SfcKey::of(&cell, curve);
-                                let idx = buf.partition_point(|kc| kc.key <= key);
-                                if idx == 0 {
-                                    return None;
-                                }
-                                let leaf = buf[idx - 1];
-                                if !leaf.cell.contains_point(pr.point) {
-                                    return None;
-                                }
-                                Some(Resolved {
-                                    src_cell: pr.src_cell,
-                                    leaf_idx: (idx - 1) as u32,
-                                    leaf: leaf.cell,
-                                })
-                            })
-                            .collect();
-                        (src, resolved)
-                    })
-                    .collect()
-            })
-        };
-        let replies = engine.alltoallv_sparse(reply_rows, AllToAllAlgo::Hypercube);
-        // replies[requester] : (owner, resolved ghosts) pairs, sorted by owner.
+        let mut probes = AlltoallvArena::with_capacity(
+            phase1.iter().map(|(_, probes, _)| probes.len()).sum(),
+            phase1.iter().map(|(_, _, runs)| runs.len()).sum(),
+        );
+        let mut locals: Vec<LocalMesh> = Vec::with_capacity(p);
+        for (r, (lm, mine, runs)) in phase1.into_iter().enumerate() {
+            locals.push(lm);
+            let mut rest = mine.as_slice();
+            for (owner, len) in runs {
+                let (run, tail) = rest.split_at(len as usize);
+                probes.send(r, owner as usize, run.iter().copied());
+                rest = tail;
+            }
+        }
+        engine.alltoallv_flat(&mut probes, AllToAllAlgo::Hypercube);
+        probes.release_send();
+
+        // Owners resolve their whole delivered slice in parallel (read-only
+        // on cells): the covering leaf's index per probe, `UNRESOLVED` where
+        // the point falls outside the owner's leaves.
+        const UNRESOLVED: u32 = u32::MAX;
+        let leaf_of: Vec<Vec<u32>> = par::par_map_mut(cells.parts_mut(), |owner, buf| {
+            let resolve = |pr: &Probe<D>| {
+                let key = SfcKey::of(&Cell::<D>::from_point(pr.point), curve);
+                match buf.partition_point(|kc| kc.key <= key).checked_sub(1) {
+                    Some(j) if buf[j].cell.contains_point(pr.point) => j as u32,
+                    _ => UNRESOLVED,
+                }
+            };
+            probes.recv_for(owner).iter().map(resolve).collect()
+        });
+        // One reply segment per probe segment, unresolved probes dropped.
+        // `leaf_of` read owner by owner is the delivered pool's own order,
+        // which the segments tile.
+        let mut replies = AlltoallvArena::with_capacity(
+            leaf_of
+                .iter()
+                .flatten()
+                .filter(|&&j| j != UNRESOLVED)
+                .count(),
+            probes.recv().count(),
+        );
+        let mut leaves = leaf_of.iter().flatten();
+        for (src, owner, seg) in probes.recv() {
+            let buf = cells.rank(owner);
+            let hits = seg.iter().zip(leaves.by_ref());
+            replies.send(
+                owner,
+                src,
+                hits.filter(|(_, &j)| j != UNRESOLVED)
+                    .map(|(pr, &j)| Resolved {
+                        src_cell: pr.src_cell,
+                        leaf_idx: j,
+                        leaf: buf[j as usize].cell,
+                    }),
+            );
+        }
+        drop((probes, leaf_of));
+        engine.alltoallv_flat(&mut replies, AllToAllAlgo::Hypercube);
+        replies.release_send();
 
         // ---- Phase 3: assemble ghost lists and remote couplings ----------
-        use std::collections::HashMap;
-        for (r, local) in locals.iter_mut().enumerate() {
+        // Replies arrive grouped by requester, then owner, one segment per
+        // link, each in the requester's cell order — so an owner's ghosts
+        // are final when its segment ends, and duplicates of one
+        // (cell, leaf) pair sit within that cell's run of the segment.
+        for (owner, r, row) in replies.recv() {
+            let local = &mut locals[r];
             let my_cells = cells.rank(r);
-            // Deduplicate ghosts per owner; assign slots.
-            let mut ghost_slot: HashMap<(usize, u32), u32> = HashMap::new();
-            let mut per_owner: Vec<(usize, Vec<u32>)> = Vec::new();
-            let mut seen_pairs: std::collections::HashSet<(u32, usize, u32)> =
-                std::collections::HashSet::new();
-            // First pass: allocate slots in (owner, arrival) order.
-            for (owner, row) in replies[r].iter().map(|(o, v)| (*o, v)) {
-                if owner == r {
+            // Remote owner: its distinct leaves, sorted, take the next slots.
+            let ghosts = (owner != r).then(|| {
+                let mut list: Vec<u32> = row.iter().map(|res| res.leaf_idx).collect();
+                list.sort_unstable();
+                list.dedup();
+                debug_assert!(local.recv_from.last().is_none_or(|(o, _)| *o < owner));
+                let base = local.num_ghosts;
+                local.num_ghosts += list.len();
+                local.recv_from.push((owner, list));
+                (base, &local.recv_from.last().expect("just pushed").1)
+            });
+            for (n, res) in row.iter().enumerate() {
+                let cell = res.src_cell as usize;
+                let src = my_cells[cell].cell;
+                // Self-probe: a straddling region resolved locally.
+                let itself = owner == r && res.leaf_idx == res.src_cell;
+                let seen = row[..n]
+                    .iter()
+                    .rev()
+                    .take_while(|prev| prev.src_cell == res.src_cell)
+                    .any(|prev| prev.leaf_idx == res.leaf_idx);
+                if itself || seen || !src.shares_face_with(&res.leaf) {
                     continue;
                 }
-                for res in row {
-                    ghost_slot.entry((owner, res.leaf_idx)).or_insert_with(|| {
-                        match per_owner.iter_mut().find(|(o, _)| *o == owner) {
-                            Some((_, list)) => list.push(res.leaf_idx),
-                            None => per_owner.push((owner, vec![res.leaf_idx])),
-                        }
-                        u32::MAX // placeholder, fixed below
-                    });
-                }
-            }
-            per_owner.sort_by_key(|(o, _)| *o);
-            let mut slot = 0u32;
-            for (owner, list) in &per_owner {
-                for idx in list {
-                    ghost_slot.insert((*owner, *idx), slot);
-                    slot += 1;
-                }
-            }
-            local.num_ghosts = slot as usize;
-            local.recv_from = per_owner;
-
-            // Second pass: attach couplings (dedup identical (src, ghost)).
-            for (owner, row) in replies[r].iter().map(|(o, v)| (*o, v)) {
-                for res in row {
-                    if owner == r {
-                        // Self-probe: straddling region resolved locally.
-                        let j = res.leaf_idx as usize;
-                        if j as u32 != res.src_cell
-                            && seen_pairs.insert((res.src_cell, owner, res.leaf_idx))
-                        {
-                            let src = my_cells[res.src_cell as usize].cell;
-                            if src.shares_face_with(&res.leaf) {
-                                let k = kappa(&src, &res.leaf);
-                                local.entries[res.src_cell as usize]
-                                    .push((Slot::Local(j as u32), k));
-                                local.diag[res.src_cell as usize] += k;
-                            }
-                        }
-                        continue;
+                let slot = match ghosts {
+                    None => Slot::Local(res.leaf_idx),
+                    Some((base, list)) => {
+                        let g = list.binary_search(&res.leaf_idx).expect("listed above");
+                        Slot::Ghost((base + g) as u32)
                     }
-                    if seen_pairs.insert((res.src_cell, owner, res.leaf_idx)) {
-                        let src = my_cells[res.src_cell as usize].cell;
-                        if src.shares_face_with(&res.leaf) {
-                            let k = kappa(&src, &res.leaf);
-                            let g = ghost_slot[&(owner, res.leaf_idx)];
-                            local.entries[res.src_cell as usize].push((Slot::Ghost(g), k));
-                            local.diag[res.src_cell as usize] += k;
-                        }
-                    }
-                }
+                };
+                let k = kappa(&src, &res.leaf);
+                local.entries[cell].push((slot, k));
+                local.diag[cell] += k;
             }
         }
+        drop(replies);
 
         // ---- Phase 4: exchange request lists to build send lists ---------
-        let req_rows: Vec<Vec<(usize, Vec<u32>)>> =
-            locals.iter().map(|local| local.recv_from.clone()).collect();
-        let recv_reqs = engine.alltoallv_sparse(req_rows, AllToAllAlgo::Hypercube);
-        for (owner, rows) in recv_reqs.into_iter().enumerate() {
-            // Already sorted by requester rank; self/empty never occur.
-            locals[owner].send_to = rows
-                .into_iter()
-                .filter(|(req, list)| *req != owner && !list.is_empty())
-                .collect();
+        let mut requests = AlltoallvArena::with_capacity(
+            locals.iter().map(|local| local.num_ghosts).sum(),
+            locals.iter().map(|local| local.recv_from.len()).sum(),
+        );
+        for (r, local) in locals.iter().enumerate() {
+            for (owner, list) in &local.recv_from {
+                requests.send(r, *owner, list.iter().copied());
+            }
+        }
+        engine.alltoallv_flat(&mut requests, AllToAllAlgo::Hypercube);
+        // Delivered sorted by requester rank; self/empty never occur.
+        for (req, owner, list) in requests.recv() {
+            locals[owner].send_to.push((req, list.to_vec()));
         }
 
         DistMesh {
@@ -367,27 +373,30 @@ pub(crate) fn boundary_kappa<const D: usize>(c: &Cell<D>) -> f64 {
 /// Sample points just inside `region` adjacent to the face it shares with
 /// the probing cell: the centres of the `2^(D-1)` level-`l+1` subcells on
 /// that face (all face neighbours of a 2:1-balanced mesh contain one).
-fn face_probes<const D: usize>(region: &Cell<D>, axis: usize, dir: i8) -> Vec<[u32; D]> {
+fn face_probes<const D: usize>(
+    region: &Cell<D>,
+    axis: usize,
+    dir: i8,
+) -> impl Iterator<Item = [u32; D]> {
     let side = region.side();
     let anchor = region.anchor();
-    if side < 4 {
-        // Finest cells: single probe at the anchor.
-        return vec![anchor];
-    }
-    let q = side / 4;
+    // Finest cells: a single probe at the anchor (every offset is 0).
+    let (q, count) = if side < 4 {
+        (0, 1)
+    } else {
+        (side / 4, 1u32 << (D - 1))
+    };
     // Offset along the probing axis: touching face is region's low side when
     // dir=+1 (cell below region), high side when dir=-1.
-    let axis_off = if dir == 1 { q } else { side - q };
-    let mut pts = Vec::with_capacity(1 << (D - 1));
-    let free: Vec<usize> = (0..D).filter(|&d| d != axis).collect();
-    for mask in 0..(1u32 << free.len()) {
+    let axis_off = if dir == 1 || q == 0 { q } else { side - q };
+    (0..count).map(move |mask| {
         let mut pt = anchor;
-        pt[axis] = anchor[axis] + axis_off;
-        for (bi, &d) in free.iter().enumerate() {
-            let off = if (mask >> bi) & 1 == 1 { 3 * q } else { q };
-            pt[d] = anchor[d] + off;
+        pt[axis] += axis_off;
+        // Bit `b` of `mask` picks the near or far subcell along the `b`-th
+        // free axis.
+        for (b, d) in (0..D).filter(|&d| d != axis).enumerate() {
+            pt[d] += if (mask >> b) & 1 == 1 { 3 * q } else { q };
         }
-        pts.push(pt);
-    }
-    pts
+        pt
+    })
 }

@@ -8,9 +8,9 @@
 //! the `tw · N/p` term plus per-message latencies.
 //!
 //! The all-to-all family is sparse-by-default: callers describe only the
-//! `(src, dst, payload)` traffic that exists, either as per-rank pair lists
-//! ([`Engine::alltoallv_sparse`], [`Engine::alltoallv_by`]) or as flat
-//! segments in a reusable [`AlltoallvArena`] ([`Engine::alltoallv_flat`]).
+//! `(src, dst, payload)` traffic that exists, either as flat segments in an
+//! [`AlltoallvArena`] ([`Engine::alltoallv_flat`]) or as per-rank element
+//! buffers routed by a function ([`Engine::alltoallv_by`]).
 //! Every entry point is the same sequence — enumerate the links into
 //! `Engine::account_link`, `Engine::settle_alltoall` (statistics, schedule
 //! cost, fault retries, clock charges), then move the payload in its own
@@ -156,15 +156,21 @@ struct Seg {
 }
 
 /// A reusable flat staging arena for [`Engine::alltoallv_flat`]: callers
-/// append `(src, dst, payload)` segments into one flat send buffer; the
-/// exchange delivers them into an equally flat receive buffer grouped by
-/// destination, then source, then submission order. Self-addressed segments
-/// are delivered too (at zero network cost). Reusing the arena across
-/// exchanges performs no steady-state allocation — the send side is
+/// append `(src, dst, payload)` segments into one flat send pool; the
+/// exchange delivers them into an equally flat receive pool ordered by
+/// `(dst, src, submission)`. Self-addressed segments are delivered too (at
+/// zero network cost), so everything one destination receives is **one
+/// contiguous slice** of the receive pool ([`recv_for`]). Reusing the arena
+/// across exchanges performs no steady-state allocation — the send side is
 /// consumed by the exchange and ready for refilling while [`recv`] iterates
-/// the results.
+/// the results. A one-shot arena holds both pools at once during its
+/// exchange; size it with [`with_capacity`] and hand the consumed send pool
+/// back with [`release_send`] when the delivered side lives on.
 ///
 /// [`recv`]: AlltoallvArena::recv
+/// [`recv_for`]: AlltoallvArena::recv_for
+/// [`with_capacity`]: AlltoallvArena::with_capacity
+/// [`release_send`]: AlltoallvArena::release_send
 pub struct AlltoallvArena<T: Copy> {
     data: Vec<T>,
     segs: Vec<Seg>,
@@ -181,9 +187,16 @@ impl<T: Copy> Default for AlltoallvArena<T> {
 impl<T: Copy> AlltoallvArena<T> {
     /// An empty arena. Capacity grows on first use and is retained.
     pub fn new() -> Self {
+        Self::with_capacity(0, 0)
+    }
+
+    /// An empty arena whose send pool holds exactly `elems` elements in
+    /// `segs` messages before it grows. The exchange sizes the receive pool
+    /// to the staged traffic itself.
+    pub fn with_capacity(elems: usize, segs: usize) -> Self {
         AlltoallvArena {
-            data: Vec::new(),
-            segs: Vec::new(),
+            data: Vec::with_capacity(elems),
+            segs: Vec::with_capacity(segs),
             out: Vec::new(),
             out_segs: Vec::new(),
         }
@@ -213,11 +226,6 @@ impl<T: Copy> AlltoallvArena<T> {
         });
     }
 
-    /// Number of staged (unsent) segments.
-    pub fn pending_segs(&self) -> usize {
-        self.segs.len()
-    }
-
     /// Delivered segments of the last exchange as `(src, dst, payload)`,
     /// grouped by destination, then source, then submission order.
     pub fn recv(&self) -> impl Iterator<Item = (usize, usize, &[T])> {
@@ -228,6 +236,28 @@ impl<T: Copy> AlltoallvArena<T> {
                 &self.out[seg.begin as usize..(seg.begin + seg.len) as usize],
             )
         })
+    }
+
+    /// Everything the last exchange delivered to `dst`, as one contiguous
+    /// slice in `(src, submission)` order — the concatenation of the
+    /// payloads [`AlltoallvArena::recv`] yields for that destination.
+    pub fn recv_for(&self, dst: usize) -> &[T] {
+        let lo = self.out_segs.partition_point(|g| (g.dst as usize) < dst);
+        let hi = self.out_segs.partition_point(|g| g.dst as usize <= dst);
+        if lo == hi {
+            return &[];
+        }
+        let (first, last) = (self.out_segs[lo], self.out_segs[hi - 1]);
+        &self.out[first.begin as usize..(last.begin + last.len) as usize]
+    }
+
+    /// Gives the send pool's memory back to the allocator. The exchange
+    /// leaves the send side empty but keeps its capacity for refilling; a
+    /// one-shot arena that is kept only for its delivered side calls this
+    /// so it does not hold a second pool of the same size.
+    pub fn release_send(&mut self) {
+        self.data = Vec::new();
+        self.segs = Vec::new();
     }
 
     /// Drops both staged and delivered data, retaining capacity.
@@ -630,11 +660,6 @@ impl Engine {
         out
     }
 
-    /// Broadcast of `bytes` from one rank to all.
-    pub fn bcast_cost(&mut self, bytes: u64) {
-        self.charge_tree_collective("bcast", bytes);
-    }
-
     /// `MPI_Allgather`: every rank contributes a small buffer; all ranks
     /// receive the concatenation (rank order). Recursive-doubling cost:
     /// `log p · ts + tw · total_bytes`.
@@ -755,85 +780,6 @@ impl Engine {
             self.collective_seq - 1,
         );
         self.stats.audited_collectives += 1;
-    }
-
-    /// Sparse `MPI_Alltoallv`: each rank supplies only its non-empty
-    /// `(destination, buffer)` pairs; each rank receives its `(source,
-    /// buffer)` pairs sorted by source.
-    ///
-    /// Identical cost model and recording as the dense reference, without
-    /// materialising `p²` buffers — essential for large virtual rank counts
-    /// where each rank talks to a handful of neighbours (exactly the sparse
-    /// communication matrix the paper is about).
-    pub fn alltoallv_sparse<T: Send>(
-        &mut self,
-        send: Vec<Vec<(usize, Vec<T>)>>,
-        algo: AllToAllAlgo,
-    ) -> Vec<Vec<(usize, Vec<T>)>> {
-        let p = self.p;
-        assert_eq!(send.len(), p, "send must have one row per rank");
-        let elem = std::mem::size_of::<T>() as u64;
-
-        let mut s = self.begin_alltoall();
-        for (src, row) in send.iter().enumerate() {
-            for (dst, buf) in row {
-                debug_assert!(*dst < p, "destination {dst} out of range");
-                if !buf.is_empty() {
-                    self.account_link(&mut s, algo, src, *dst, buf.len() as u64 * elem);
-                }
-            }
-        }
-        self.settle_alltoall(algo, Staging::ClosedForm, &mut s);
-        self.coll_scratch = s;
-
-        // Audit bookkeeping: sent element count per (src, dst) pair.
-        let expected: Option<std::collections::HashMap<(usize, usize), usize>> =
-            self.audit.then(|| {
-                let mut m = std::collections::HashMap::new();
-                for (src, row) in send.iter().enumerate() {
-                    for (dst, buf) in row {
-                        *m.entry((src, *dst)).or_insert(0) += buf.len();
-                    }
-                }
-                m
-            });
-
-        let mut recv: Vec<Vec<(usize, Vec<T>)>> = (0..p).map(|_| Vec::new()).collect();
-        for (src, row) in send.into_iter().enumerate() {
-            for (dst, buf) in row {
-                recv[dst].push((src, buf));
-            }
-        }
-        for row in &mut recv {
-            row.sort_by_key(|(src, _)| *src);
-        }
-
-        if let Some(mut expected) = expected {
-            for (dst, row) in recv.iter().enumerate() {
-                for (src, buf) in row {
-                    let e = expected.get_mut(&(*src, dst));
-                    let sent = e.as_deref().copied().unwrap_or(0);
-                    assert!(
-                        sent >= buf.len(),
-                        "audit: alltoallv_sparse #{} duplicated data on link {src}->{dst}: \
-                         sent {sent} elements, received {}",
-                        self.collective_seq - 1,
-                        buf.len(),
-                    );
-                    *e.expect("audited above") -= buf.len();
-                }
-            }
-            let lost: usize = expected.values().sum();
-            assert!(
-                lost == 0,
-                "audit: alltoallv_sparse #{} lost {lost} elements \
-                 (per-link leftovers: {:?})",
-                self.collective_seq - 1,
-                expected.iter().filter(|(_, &v)| v > 0).collect::<Vec<_>>(),
-            );
-            self.stats.audited_collectives += 1;
-        }
-        recv
     }
 
     /// Flat-arena `MPI_Alltoallv` over an [`AlltoallvArena`]: exchanges the
@@ -1186,6 +1132,18 @@ mod tests {
             .collect()
     }
 
+    /// The dense grid's non-empty buffers as arena segments, staged in the
+    /// grid's `(src, dst)` order.
+    fn staged(send: &[Vec<Vec<u64>>]) -> AlltoallvArena<u64> {
+        let mut arena = AlltoallvArena::new();
+        for (src, row) in send.iter().enumerate() {
+            for (dst, buf) in row.iter().enumerate() {
+                arena.send(src, dst, buf.iter().copied());
+            }
+        }
+        arena
+    }
+
     #[test]
     fn alltoallv_conserves_every_element() {
         // Conservation pinned at the element level, not just counts: the
@@ -1220,7 +1178,7 @@ mod tests {
     #[test]
     fn hypercube_stage_boundary_rank_counts() {
         // p = 2^k - 1, 2^k and 2^k + 1 exercise the wrap-around holders:
-        // conservation and the sparse-vs-dense charge identity must hold at
+        // conservation and the arena-vs-dense charge identity must hold at
         // every stage-count boundary.
         for p in [7usize, 8, 9, 15, 16, 17] {
             let send = tagged_send(p);
@@ -1232,27 +1190,17 @@ mod tests {
             got.sort_unstable();
             assert_eq!(sent, got, "p={p} lost or duplicated elements");
 
-            // The sparse production path (closed-form holders) must charge
+            // The arena production path (closed-form holders) must charge
             // bit-identical clocks to the dense reference (walked holders).
-            let sparse_send: Vec<Vec<(usize, Vec<u64>)>> = tagged_send(p)
-                .into_iter()
-                .enumerate()
-                .map(|(src, row)| {
-                    row.into_iter()
-                        .enumerate()
-                        .filter(|(dst, buf)| *dst != src && !buf.is_empty())
-                        .collect()
-                })
-                .collect();
-            let mut sparse = engine(p);
-            let _ = sparse.alltoallv_sparse(sparse_send, AllToAllAlgo::Hypercube);
+            let mut flat = engine(p);
+            flat.alltoallv_flat(&mut staged(&tagged_send(p)), AllToAllAlgo::Hypercube);
             assert_eq!(
                 dense.clocks(),
-                sparse.clocks(),
-                "p={p} sparse/dense hypercube charges diverged"
+                flat.clocks(),
+                "p={p} arena/dense hypercube charges diverged"
             );
-            assert_eq!(dense.stats().msgs_total, sparse.stats().msgs_total);
-            assert_eq!(dense.stats().bytes_total, sparse.stats().bytes_total);
+            assert_eq!(dense.stats().msgs_total, flat.stats().msgs_total);
+            assert_eq!(dense.stats().bytes_total, flat.stats().bytes_total);
         }
     }
 
@@ -1261,10 +1209,10 @@ mod tests {
         // One neighbour pair in a big machine: only the ranks a stage
         // touches pay for it.
         let p = 32;
-        let mut send: Vec<Vec<(usize, Vec<u64>)>> = (0..p).map(|_| Vec::new()).collect();
-        send[3] = vec![(4, vec![7u64; 10])];
+        let mut arena = AlltoallvArena::new();
+        arena.send(3, 4, [7u64; 10]);
         let mut e = engine(p);
-        let _ = e.alltoallv_sparse(send, AllToAllAlgo::Hypercube);
+        e.alltoallv_flat(&mut arena, AllToAllAlgo::Hypercube);
         let clocks = e.clocks();
         // offset 1: the route moves only at stage 0, touching ranks 3 and 4.
         assert!(clocks[3] > 0.0 && clocks[4] > 0.0);
@@ -1276,46 +1224,21 @@ mod tests {
     }
 
     #[test]
-    fn sparse_alltoallv_conserves_and_sorts_by_source() {
-        for algo in ALL_ALGOS {
-            let p = 6;
-            let send: Vec<Vec<(usize, Vec<u32>)>> = (0..p)
-                .map(|src| {
-                    // Each rank sends to (src+1)%p and (src+3)%p, plus an
-                    // empty bucket that must not confuse the audit.
-                    vec![
-                        ((src + 1) % p, vec![src as u32; 3]),
-                        ((src + 3) % p, vec![src as u32 + 100]),
-                        ((src + 2) % p, vec![]),
-                    ]
-                })
-                .collect();
-            let mut e = engine(p);
-            let recv = e.alltoallv_sparse(send, algo);
-            for (dst, row) in recv.iter().enumerate() {
-                assert!(
-                    row.windows(2).all(|w| w[0].0 < w[1].0),
-                    "row {dst} unsorted"
-                );
-                let total: usize = row.iter().map(|(_, b)| b.len()).sum();
-                assert_eq!(total, 4, "rank {dst} should receive 3 + 1 elements");
-            }
-            assert_eq!(e.stats().audited_collectives, 1);
-        }
-    }
-
-    #[test]
     fn empty_buckets_and_p1_edge_cases() {
-        // Empty rows everywhere.
+        // Nothing staged but empty buckets.
         let mut e = engine(3);
-        let recv = e.alltoallv_sparse::<u8>(vec![vec![], vec![], vec![]], AllToAllAlgo::Hypercube);
-        assert!(recv.iter().all(Vec::is_empty));
+        let mut arena: AlltoallvArena<u8> = AlltoallvArena::new();
+        arena.send(0, 1, []);
+        e.alltoallv_flat(&mut arena, AllToAllAlgo::Hypercube);
+        assert_eq!(arena.recv().count(), 0);
+        assert!((0..3).all(|dst| arena.recv_for(dst).is_empty()));
         assert_eq!(e.makespan(), 0.0);
         // p = 1: self-delivery only, zero network bytes, zero stages.
         for algo in ALL_ALGOS {
             let mut e1 = engine(1);
-            let recv = e1.alltoallv_sparse(vec![vec![(0, vec![1u8, 2, 3])]], algo);
-            assert_eq!(recv[0], vec![(0, vec![1u8, 2, 3])]);
+            arena.send(0, 0, [1u8, 2, 3]);
+            e1.alltoallv_flat(&mut arena, algo);
+            assert_eq!(arena.recv().collect::<Vec<_>>(), [(0, 0, &[1u8, 2, 3][..])]);
             assert_eq!(e1.stats().bytes_total, 0);
         }
     }
@@ -1359,23 +1282,50 @@ mod tests {
     }
 
     #[test]
-    fn flat_arena_matches_sparse_charges() {
-        // The flat arena path and the pair-list path describe the same
+    fn one_destination_is_one_contiguous_slice() {
+        // The contract the FEM halo leans on: what a destination receives is
+        // one slice of the receive pool, in (src, submission) order, its
+        // self-addressed segments included at their source's position.
+        let p = 4;
+        let mut e = engine(p);
+        let mut arena = AlltoallvArena::with_capacity(16, 8);
+        arena.send(2, 1, [20u64, 21]);
+        arena.send(3, 1, [30]);
+        arena.send(1, 1, [10, 11]);
+        arena.send(2, 3, [99]);
+        arena.send(2, 1, [22]);
+        arena.send(0, 1, [0]);
+        e.alltoallv_flat(&mut arena, AllToAllAlgo::Hypercube);
+        assert_eq!(arena.recv_for(1), [0, 10, 11, 20, 21, 22, 30]);
+        assert_eq!(arena.recv_for(3), [99]);
+        assert!(arena.recv_for(0).is_empty() && arena.recv_for(2).is_empty());
+        for dst in 0..p {
+            let joined: Vec<u64> = arena
+                .recv()
+                .filter(|&(_, d, _)| d == dst)
+                .flat_map(|(_, _, items)| items.iter().copied())
+                .collect();
+            assert_eq!(arena.recv_for(dst), joined, "dst {dst}");
+        }
+        // Handing the send pool back leaves the delivered side intact.
+        arena.release_send();
+        assert_eq!(arena.recv_for(1), [0, 10, 11, 20, 21, 22, 30]);
+    }
+
+    #[test]
+    fn flat_arena_matches_dense_charges() {
+        // The flat arena path and the dense reference describe the same
         // traffic, so their clocks and stats must be bit-identical.
         for algo in ALL_ALGOS {
             let p = 9;
-            let mut e1 = engine(p).record_comm_matrix();
-            let mut arena = AlltoallvArena::new();
-            for src in 0..p {
-                arena.send(src, (src + 2) % p, (0..src as u64 + 1).collect::<Vec<_>>());
+            let mut send: Vec<Vec<Vec<u64>>> = (0..p).map(|_| vec![Vec::new(); p]).collect();
+            for (src, row) in send.iter_mut().enumerate() {
+                row[(src + 2) % p] = (0..src as u64 + 1).collect();
             }
-            e1.alltoallv_flat(&mut arena, algo);
-
+            let mut e1 = engine(p).record_comm_matrix();
+            e1.alltoallv_flat(&mut staged(&send), algo);
             let mut e2 = engine(p).record_comm_matrix();
-            let send: Vec<Vec<(usize, Vec<u64>)>> = (0..p)
-                .map(|src| vec![((src + 2) % p, (0..src as u64 + 1).collect())])
-                .collect();
-            let _ = e2.alltoallv_sparse(send, algo);
+            let _ = e2.alltoallv(send, algo);
 
             assert_eq!(e1.clocks(), e2.clocks(), "{algo:?}");
             assert_eq!(e1.stats().bytes_total, e2.stats().bytes_total);
@@ -1458,8 +1408,9 @@ mod tests {
         let bytes_after_first = e.stats().bytes_total;
         // An empty exchange right after must move nothing and cost nothing
         // extra.
-        let recv = e.alltoallv_sparse::<u8>(vec![vec![]; p], AllToAllAlgo::Hypercube);
-        assert!(recv.iter().all(Vec::is_empty));
+        let mut arena: AlltoallvArena<u8> = AlltoallvArena::new();
+        e.alltoallv_flat(&mut arena, AllToAllAlgo::Hypercube);
+        assert_eq!(arena.recv().count(), 0);
         assert_eq!(e.stats().bytes_total, bytes_after_first);
         assert_eq!(e.makespan(), m0, "empty exchange charged phantom traffic");
         // And a repeat of the same exchange costs exactly the same again.

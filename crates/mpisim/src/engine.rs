@@ -11,19 +11,6 @@ use optipart_trace::{
     ModelParams, Profile, Tracer,
 };
 
-/// How rank-local compute phases are charged to the virtual clocks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum TimeMode {
-    /// Modeled: `reported bytes × tc` — deterministic, the default, and
-    /// what every figure uses.
-    #[default]
-    Modeled,
-    /// Measured: the wall-clock the closure actually took on the host.
-    /// Non-deterministic; useful as a cross-check that the modeled curves
-    /// are not artefacts of the model (the *relative* phase weights match).
-    Measured,
-}
-
 /// A virtual distributed machine running `p` SPMD ranks.
 ///
 /// See the crate docs for the programming and clock model. An engine is
@@ -49,7 +36,6 @@ pub enum TimeMode {
 pub struct Engine {
     pub(crate) p: usize,
     pub(crate) perf: PerfModel,
-    pub(crate) time_mode: TimeMode,
     pub(crate) clocks: Vec<f64>,
     pub(crate) stats: RunStats,
     pub(crate) comm_matrix: Option<CommMatrix>,
@@ -103,7 +89,6 @@ impl Engine {
         Engine {
             p,
             perf,
-            time_mode: TimeMode::default(),
             clocks: vec![0.0; p],
             stats: RunStats::default(),
             comm_matrix: None,
@@ -228,12 +213,6 @@ impl Engine {
     /// Enables rank×rank communication-matrix recording (§5.5 metrics).
     pub fn record_comm_matrix(mut self) -> Self {
         self.comm_matrix = Some(CommMatrix::new(self.p));
-        self
-    }
-
-    /// Selects how compute phases are charged (see [`TimeMode`]).
-    pub fn with_time_mode(mut self, mode: TimeMode) -> Self {
-        self.time_mode = mode;
         self
     }
 
@@ -511,56 +490,11 @@ impl Engine {
             self.pending_death.is_none(),
             "rank death pending — call Engine::shrink_after_death before continuing"
         );
-        let measured = self.time_mode == TimeMode::Measured;
-        let results: Vec<(f64, R)> = par::par_map_mut(dist.parts_mut(), |r, buf| {
-            if measured {
-                let t0 = std::time::Instant::now();
-                let (_, res) = f(r, buf);
-                (t0.elapsed().as_secs_f64(), res)
-            } else {
-                f(r, buf)
-            }
-        });
-        let tc = self.perf.machine.tc;
-        let mut out = Vec::with_capacity(self.p);
-        for (r, (cost, res)) in results.into_iter().enumerate() {
-            debug_assert!(cost >= 0.0, "negative compute cost reported");
-            let (secs, bytes) = if measured {
-                (cost, 0.0)
-            } else {
-                (cost * tc, cost)
-            };
-            self.charge_compute(r, secs, bytes);
-            out.push(res);
-        }
-        out
-    }
-
-    /// A compute phase over two zipped distributed vectors (e.g. mesh +
-    /// unknown vector in the FEM matvec).
-    pub fn compute_zip<A, B, R, F>(
-        &mut self,
-        a: &mut DistVec<A>,
-        b: &mut DistVec<B>,
-        f: F,
-    ) -> Vec<R>
-    where
-        A: Send,
-        B: Send,
-        R: Send,
-        F: Fn(usize, &mut Vec<A>, &mut Vec<B>) -> (f64, R) + Sync,
-    {
-        assert!(
-            self.pending_death.is_none(),
-            "rank death pending — call Engine::shrink_after_death before continuing"
-        );
-        assert_eq!(a.p(), self.p);
-        assert_eq!(b.p(), self.p);
-        let results: Vec<(f64, R)> =
-            par::par_map_zip_mut(a.parts_mut(), b.parts_mut(), |r, ab, bb| f(r, ab, bb));
+        let results: Vec<(f64, R)> = par::par_map_mut(dist.parts_mut(), f);
         let tc = self.perf.machine.tc;
         let mut out = Vec::with_capacity(self.p);
         for (r, (bytes, res)) in results.into_iter().enumerate() {
+            debug_assert!(bytes >= 0.0, "negative compute cost reported");
             self.charge_compute(r, bytes * tc, bytes);
             out.push(res);
         }
@@ -751,35 +685,6 @@ mod tests {
         assert_eq!(e.makespan(), 0.0);
         assert_eq!(e.stats().bytes_total, 0);
         assert_eq!(e.energy_report().total_j, 0.0);
-    }
-
-    #[test]
-    fn compute_zip_pairs_rank_buffers() {
-        let mut e = engine(3);
-        let mut a = DistVec::from_parts(vec![vec![1u32, 2], vec![3], vec![4, 5, 6]]);
-        let mut b = DistVec::from_parts(vec![vec![10u32, 20], vec![30], vec![40, 50, 60]]);
-        let sums = e.compute_zip(&mut a, &mut b, |_r, av, bv| {
-            let s: u32 = av.iter().zip(bv.iter()).map(|(x, y)| x + y).sum();
-            (16.0, s)
-        });
-        assert_eq!(sums, vec![33, 33, 165]);
-        assert!(e.makespan() > 0.0);
-    }
-
-    #[test]
-    fn measured_mode_charges_wall_clock() {
-        let mut e = engine(2).with_time_mode(TimeMode::Measured);
-        let mut d = DistVec::from_parts(vec![vec![0u8; 10], vec![0u8; 10]]);
-        e.compute(&mut d, |_r, buf| {
-            // Busy-work so the measured time is non-trivial.
-            let mut acc = 0u64;
-            for i in 0..200_000u64 {
-                acc = acc.wrapping_add(i * i);
-            }
-            buf[0] = acc as u8;
-            0.0 // reported bytes are ignored in Measured mode
-        });
-        assert!(e.makespan() > 0.0, "measured time must be positive");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! rank-local state lives in a [`DistVec`] (one `Vec` per virtual rank),
 //! local compute phases run all ranks' closures in parallel on scoped
 //! threads ([`par`], honouring `RAYON_NUM_THREADS`), and
-//! collectives ([`Engine::allreduce_sum_u64`], [`Engine::alltoallv_sparse`], …)
+//! collectives ([`Engine::allreduce_sum_u64`], [`Engine::alltoallv_flat`], …)
 //! move real data between rank buffers *and* charge every rank's virtual
 //! clock using the machine model's LogGP-style costs (Eqs. 1–2 of the
 //! paper). This preserves the quantities the paper's claims rest on — who
@@ -85,7 +85,7 @@ pub use checkpoint::{
 };
 pub use collectives::{AllToAllAlgo, AlltoallvArena};
 pub use dist::DistVec;
-pub use engine::{Engine, TimeMode};
+pub use engine::Engine;
 pub use faults::{catch_rank_death, survive_rank_death, FaultPlan, RankDeath, RankFaults};
 pub use optipart_trace::{CriticalPath, ModelAttribution, PathKind, Profile, Tracer};
 pub use stats::{CommMatrix, RunStats};

@@ -8,9 +8,9 @@
 //! conventional knob, kept for compatibility with existing scripts) and
 //! falls back to the host's available parallelism.
 //!
-//! [`par_map_mut_n`] — the TreeSort hot path — dispatches through a
-//! lazily-spawned **persistent worker pool** instead of spawning scoped OS
-//! threads per call: workers park on a per-slot condvar between jobs, chunk
+//! [`par_map_mut_n`] — the one fan-out, under [`par_map_mut`] too —
+//! dispatches through a lazily-spawned **persistent worker pool**: workers
+//! park on a per-slot condvar between jobs, chunk
 //! descriptors live on the caller's stack, and the result vector is the
 //! only heap allocation (none at all when `R` is zero-sized). Chunk
 //! boundaries are a pure function of `(len, threads)`, so the pool changes
@@ -35,14 +35,12 @@ pub fn num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Splits `len` items into at most `k` contiguous chunk ranges covering
-/// `0..len` in order.
-fn chunk_ranges(len: usize, k: usize) -> Vec<std::ops::Range<usize>> {
-    let k = k.clamp(1, len.max(1));
-    (0..k)
-        .map(|i| (i * len / k)..((i + 1) * len / k))
-        .filter(|r| !r.is_empty())
-        .collect()
+/// Start of chunk `ci` when `len` items are cut into `k` contiguous chunks
+/// (`ci == k` gives `len`). A pure function of `(len, k)`; every chunk is
+/// non-empty when `k ≤ len`.
+#[inline]
+fn chunk_bound(len: usize, k: usize, ci: usize) -> usize {
+    ci * len / k
 }
 
 /// Upper bound on pooled workers, and on the chunk fan-out of one call.
@@ -253,9 +251,7 @@ where
     let tasks_base = tasks.as_mut_ptr() as *mut MapTask<T, R, F>;
     let base_items = items.as_mut_ptr();
     let base_out = out.as_mut_ptr();
-    // Same chunk boundaries as `chunk_ranges(len, k)`: chunk `ci` covers
-    // `ci·len/k .. (ci+1)·len/k` (all non-empty since k ≤ len).
-    let bound = |ci: usize| ci * len / k;
+    let bound = |ci: usize| chunk_bound(len, k, ci);
     for ci in 1..k {
         let (start, end) = (bound(ci), bound(ci + 1));
         // SAFETY: in-bounds offsets; chunk ranges (and descriptors) are
@@ -313,91 +309,6 @@ where
     unsafe { Vec::from_raw_parts(out.as_mut_ptr() as *mut R, len, out.capacity()) }
 }
 
-/// Parallel indexed map over two zipped mutable slices (equal length).
-pub fn par_map_zip_mut<A, B, R, F>(a: &mut [A], b: &mut [B], f: F) -> Vec<R>
-where
-    A: Send,
-    B: Send,
-    R: Send,
-    F: Fn(usize, &mut A, &mut B) -> R + Sync,
-{
-    assert_eq!(a.len(), b.len(), "zipped slices must match");
-    let len = a.len();
-    let ranges = chunk_ranges(len, num_threads());
-    if ranges.len() <= 1 {
-        return a
-            .iter_mut()
-            .zip(b.iter_mut())
-            .enumerate()
-            .map(|(i, (x, y))| f(i, x, y))
-            .collect();
-    }
-    let mut chunks: Vec<(usize, &mut [A], &mut [B])> = Vec::with_capacity(ranges.len());
-    let (mut rest_a, mut rest_b) = (a, b);
-    let mut offset = 0usize;
-    for r in &ranges {
-        let (ha, ta) = rest_a.split_at_mut(r.end - offset);
-        let (hb, tb) = rest_b.split_at_mut(r.end - offset);
-        chunks.push((r.start, ha, hb));
-        rest_a = ta;
-        rest_b = tb;
-        offset = r.end;
-    }
-    let f = &f;
-    let mut parts: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|(start, ca, cb)| {
-                scope.spawn(move || {
-                    ca.iter_mut()
-                        .zip(cb.iter_mut())
-                        .enumerate()
-                        .map(|(i, (x, y))| f(start + i, x, y))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(len);
-    for part in parts.iter_mut() {
-        out.append(part);
-    }
-    out
-}
-
-/// Parallel map over the index range `0..n` — the `into_par_iter()` pattern
-/// for building one value per rank from shared read-only state.
-pub fn par_map_indices<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let ranges = chunk_ranges(n, num_threads());
-    if ranges.len() <= 1 {
-        return (0..n).map(&f).collect();
-    }
-    let f = &f;
-    let mut parts: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| scope.spawn(move || r.map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    for part in parts.iter_mut() {
-        out.append(part);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,26 +326,11 @@ mod tests {
     }
 
     #[test]
-    fn zip_map_pairs_elements() {
-        let mut a: Vec<u32> = (0..97).collect();
-        let mut b: Vec<u32> = (0..97).map(|x| x * 10).collect();
-        let out = par_map_zip_mut(&mut a, &mut b, |i, x, y| *x + *y + i as u32);
-        assert_eq!(out, (0..97).map(|i| i + i * 10 + i).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn map_indices_matches_sequential() {
-        let out = par_map_indices(123, |i| i * i);
-        assert_eq!(out, (0..123).map(|i| i * i).collect::<Vec<usize>>());
-    }
-
-    #[test]
     fn empty_and_single_inputs() {
         let mut v: Vec<u8> = vec![];
         assert!(par_map_mut(&mut v, |_, _| 0u8).is_empty());
         let mut one = vec![7u8];
         assert_eq!(par_map_mut(&mut one, |i, x| (i, *x)), vec![(0, 7)]);
-        assert!(par_map_indices(0, |i| i).is_empty());
     }
 
     #[test]
@@ -458,17 +354,17 @@ mod tests {
 
     #[test]
     fn chunking_covers_range_exactly() {
-        for len in [0usize, 1, 2, 7, 100] {
+        for len in [1usize, 2, 7, 100] {
             for k in [1usize, 2, 3, 8, 200] {
-                let rs = chunk_ranges(len, k);
-                let mut covered = 0usize;
-                let mut prev_end = 0usize;
-                for r in &rs {
-                    assert_eq!(r.start, prev_end);
-                    covered += r.len();
-                    prev_end = r.end;
+                let k = k.min(len);
+                assert_eq!(chunk_bound(len, k, 0), 0);
+                assert_eq!(chunk_bound(len, k, k), len);
+                for ci in 0..k {
+                    assert!(
+                        chunk_bound(len, k, ci) < chunk_bound(len, k, ci + 1),
+                        "chunk {ci} of {k} over {len} items is empty"
+                    );
                 }
-                assert_eq!(covered, len);
             }
         }
     }

@@ -135,49 +135,6 @@ impl ThreadComm {
             })
             .collect()
     }
-
-    /// Sparse personalised all-to-all: only the supplied `(dst, buf)` pairs
-    /// cross a channel (one message per pair; empty buffers are skipped).
-    /// Every rank first learns its in-degree through a counting exchange,
-    /// then receives its `(src, buf)` pairs, returned sorted by source —
-    /// the threaded ground truth for [`crate::Engine::alltoallv_sparse`].
-    pub fn alltoallv_sparse<T: Send + 'static>(
-        &mut self,
-        send: Vec<(usize, Vec<T>)>,
-    ) -> Vec<(usize, Vec<T>)> {
-        // In-degree announcement: one flag per destination.
-        let mut sends_to = vec![0u64; self.p];
-        for (dst, buf) in &send {
-            assert!(*dst < self.p, "destination {dst} out of range");
-            if !buf.is_empty() {
-                sends_to[*dst] += 1;
-            }
-        }
-        let flags = self.alltoallv(sends_to.into_iter().map(|f| vec![f]).collect());
-        let mut own: Vec<(usize, Vec<T>)> = Vec::new();
-        for (dst, buf) in send {
-            if buf.is_empty() {
-                continue;
-            }
-            if dst == self.rank {
-                own.push((self.rank, buf));
-            } else {
-                self.send(dst, buf);
-            }
-        }
-        let mut recv: Vec<(usize, Vec<T>)> = own;
-        for (src, flag) in flags.into_iter().enumerate() {
-            if src == self.rank {
-                continue;
-            }
-            for _ in 0..flag[0] {
-                let buf = self.recv::<Vec<T>>(src);
-                recv.push((src, buf));
-            }
-        }
-        recv.sort_by_key(|(src, _)| *src);
-        recv
-    }
 }
 
 /// Runs `f` as `p` SPMD ranks on OS threads; returns each rank's result in
@@ -251,33 +208,6 @@ mod tests {
             for (src, buf) in recv.into_iter().enumerate() {
                 assert_eq!(buf, vec![(src * 10 + dst) as u32]);
             }
-        }
-    }
-
-    #[test]
-    fn sparse_alltoallv_delivers_sorted_pairs() {
-        let p = 5;
-        let results = run(p, |comm| {
-            let r = comm.rank();
-            // Two ring neighbours, one self-message, one duplicate link and
-            // one empty buffer that must be dropped.
-            let send: Vec<(usize, Vec<u64>)> = vec![
-                ((r + 1) % p, vec![r as u64]),
-                ((r + 1) % p, vec![r as u64 + 100]),
-                (r, vec![r as u64 + 1000]),
-                ((r + 2) % p, vec![]),
-            ];
-            comm.alltoallv_sparse(send)
-        });
-        for (dst, row) in results.into_iter().enumerate() {
-            let prev = (dst + p - 1) % p;
-            let mut expected = vec![
-                (prev, vec![prev as u64]),
-                (prev, vec![prev as u64 + 100]),
-                (dst, vec![dst as u64 + 1000]),
-            ];
-            expected.sort_by_key(|(src, _)| *src);
-            assert_eq!(row, expected);
         }
     }
 

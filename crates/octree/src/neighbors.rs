@@ -8,14 +8,16 @@
 //! predecessor of that range.
 
 use optipart_sfc::{Cell, Curve, KeyedCell, Point, SfcKey};
+use std::ops::Range;
 
 /// Indices of all leaves overlapping `region` (descendants, the region
-/// itself, or one containing ancestor) in a sorted linear leaf array.
+/// itself, or one containing ancestor) in a sorted linear leaf array —
+/// always one contiguous index run.
 pub fn overlapping_leaves<const D: usize>(
     leaves: &[KeyedCell<D>],
     region: &Cell<D>,
     curve: Curve,
-) -> Vec<usize> {
+) -> Range<usize> {
     overlapping_leaves_keyed(leaves, region, SfcKey::of(region, curve))
 }
 
@@ -25,19 +27,17 @@ pub fn overlapping_leaves_keyed<const D: usize>(
     leaves: &[KeyedCell<D>],
     region: &Cell<D>,
     key: SfcKey,
-) -> Vec<usize> {
+) -> Range<usize> {
     debug_assert_eq!(key.level(), region.level());
     let start = leaves.partition_point(|kc| kc.key < key);
-    let mut out = Vec::new();
-    let mut j = start;
-    while j < leaves.len() && region.contains(&leaves[j].cell) {
-        out.push(j);
-        j += 1;
+    let mut end = start;
+    while end < leaves.len() && region.contains(&leaves[end].cell) {
+        end += 1;
     }
-    if out.is_empty() && start > 0 && leaves[start - 1].cell.contains(region) {
-        out.push(start - 1);
+    if end == start && start > 0 && leaves[start - 1].cell.contains(region) {
+        return start - 1..start;
     }
-    out
+    start..end
 }
 
 /// Index of the unique leaf containing `point`, if any.
@@ -47,7 +47,7 @@ pub fn find_leaf<const D: usize>(
     curve: Curve,
 ) -> Option<usize> {
     let cell = Cell::<D>::from_point(point);
-    overlapping_leaves(leaves, &cell, curve).into_iter().next()
+    overlapping_leaves(leaves, &cell, curve).next()
 }
 
 /// Indices of all leaves sharing a face with `leaves[idx]`.
@@ -245,7 +245,7 @@ mod tests {
         // Query a level-3 region inside leaf 0.
         let region = leaves[0].cell.child(0).child(0);
         let hits = overlapping_leaves(leaves, &region, curve);
-        assert_eq!(hits, vec![0]);
+        assert_eq!(hits, 0..1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! | [`treesort_optimized`] | the ping-pong/parallel TreeSort is a pure optimisation | bit-identity vs the retained `treesort_reference` |
 //! | [`warm_vs_cold`] | the warm-started tolerance ladder is a pure optimisation | a cold ladder run on every step of the same AMR loop |
 //! | [`serve_vs_library`] | optipart-serve responses are bit-identical to direct calls | [`optipart_serve::direct`] on a fresh engine and state |
-//! | [`sparse_vs_dense_collectives`] | the sparse, flat-arena and routed (`_by`) all-to-alls are pure optimisations | the dense p×p `Engine::alltoallv` (the `reference` feature) |
+//! | [`sparse_vs_dense_collectives`] | the flat-arena and routed (`_by`) all-to-alls are pure optimisations | the dense p×p `Engine::alltoallv` (the `reference` feature) |
 //! | [`hierarchy_flattening`] | a degenerate two-level machine is the flat model | the same scenario with no hierarchy, bit for bit |
 //!
 //! All failures panic through [`tk_assert!`], so the message always carries
@@ -152,8 +152,8 @@ pub fn hierarchy_flattening(scn: &Scenario) {
 /// The scenario's sparse traffic pattern for the collectives oracle: ring
 /// neighbours, a seeded long-range route, a self-message and ragged
 /// payload lengths including empty buffers — at most one buffer per
-/// `(src, dst)` link, so the dense, sparse, flat-arena and routed views of
-/// the same exchange stay directly comparable. Every element carries its
+/// `(src, dst)` link, so the dense, flat-arena and routed views of the
+/// same exchange stay directly comparable. Every element carries its
 /// link (`src << 32 | dst << 16 | index`), which is what lets
 /// [`Engine::alltoallv_by`] route it without a side table.
 pub(crate) fn collective_traffic(scn: &Scenario) -> Vec<Vec<(usize, Vec<u64>)>> {
@@ -180,12 +180,24 @@ pub(crate) fn collective_traffic(scn: &Scenario) -> Vec<Vec<(usize, Vec<u64>)>> 
     rows
 }
 
+/// [`collective_traffic`] staged into a flat arena, in the pattern's own
+/// `(src, dst)` order (empty buffers are dropped at staging time).
+pub(crate) fn stage_traffic(traffic: &[Vec<(usize, Vec<u64>)>]) -> AlltoallvArena<u64> {
+    let mut arena = AlltoallvArena::new();
+    for (src, row) in traffic.iter().enumerate() {
+        for (dst, buf) in row {
+            arena.send(src, *dst, buf.iter().copied());
+        }
+    }
+    arena
+}
+
 /// **Oracle 8 — sparse vs dense collectives.** The production all-to-all
-/// entry points ([`Engine::alltoallv_sparse`], the flat-arena
-/// [`Engine::alltoallv_flat`] and the routed [`Engine::alltoallv_by`])
-/// must be *pure* optimisations of the dense `p × p` reference
-/// [`Engine::alltoallv`] retained behind the `reference` feature: on the
-/// same scenario-derived neighbourhood traffic, all four must deliver
+/// entry points (the flat-arena [`Engine::alltoallv_flat`] and the routed
+/// [`Engine::alltoallv_by`]) must be *pure* optimisations of the dense
+/// `p × p` reference [`Engine::alltoallv`] retained behind the `reference`
+/// feature: on the same scenario-derived neighbourhood traffic, all three
+/// must deliver
 /// bit-identical payloads, record equal communication matrices and run
 /// statistics, and charge bit-identical per-rank virtual clocks — for
 /// every staging algorithm (Direct, Staged, Hypercube) and both on a clean
@@ -239,18 +251,9 @@ pub fn sparse_vs_dense_collectives(scn: &Scenario) {
             }
             let got_d = ed.alltoallv(dense, algo);
 
-            // Sparse production path.
-            let mut es = engine();
-            let got_s = es.alltoallv_sparse(traffic.clone(), algo);
-
             // Flat-arena production path, staged in the same order.
             let mut ef = engine();
-            let mut arena: AlltoallvArena<u64> = AlltoallvArena::new();
-            for (src, row) in traffic.iter().enumerate() {
-                for (dst, buf) in row {
-                    arena.send(src, *dst, buf.iter().copied());
-                }
-            }
+            let mut arena = stage_traffic(&traffic);
             ef.alltoallv_flat(&mut arena, algo);
 
             // Routed production path: every rank's elements in one buffer,
@@ -264,7 +267,7 @@ pub fn sparse_vs_dense_collectives(scn: &Scenario) {
 
             // Payload bit-identity against the independently built
             // expectation (empty buffers normalised away — the arena drops
-            // them at staging time, the other two deliver them).
+            // them at staging time, the dense grid delivers them).
             for (dst, want) in expected.iter().enumerate() {
                 let d: Vec<(usize, Vec<u64>)> = got_d[dst]
                     .iter()
@@ -276,16 +279,6 @@ pub fn sparse_vs_dense_collectives(scn: &Scenario) {
                     scn,
                     &d == want,
                     "{what}: dense delivery to rank {dst} diverges"
-                );
-                let sp: Vec<(usize, Vec<u64>)> = got_s[dst]
-                    .iter()
-                    .filter(|(_, b)| !b.is_empty())
-                    .cloned()
-                    .collect();
-                tk_assert!(
-                    scn,
-                    &sp == want,
-                    "{what}: sparse delivery to rank {dst} diverges"
                 );
                 let by: Vec<u64> = want.iter().flat_map(|(_, b)| b).copied().collect();
                 tk_assert!(
@@ -310,7 +303,7 @@ pub fn sparse_vs_dense_collectives(scn: &Scenario) {
             );
 
             // Identical virtual-time charges, down to float bits.
-            for (label, e) in [("sparse", &es), ("flat", &ef), ("by", &eb)] {
+            for (label, e) in [("flat", &ef), ("by", &eb)] {
                 tk_assert!(
                     scn,
                     e.clocks() == ed.clocks(),

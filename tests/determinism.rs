@@ -5,11 +5,12 @@ use optipart::core::optipart::{optipart, OptiPartOptions};
 use optipart::core::partition::{
     distribute_shuffled, distribute_tree, treesort_partition, PartitionOptions,
 };
-use optipart::fem::{run_matvec_experiment, DistMesh};
+use optipart::fem::{laplacian_matvec, run_matvec_experiment, DistMesh};
 use optipart::machine::{AppModel, MachineModel, PerfModel};
-use optipart::mpisim::Engine;
-use optipart::octree::MeshParams;
+use optipart::mpisim::{DistVec, Engine};
+use optipart::octree::{balance::balance21, MeshParams};
 use optipart::sfc::Curve;
+use optipart::trace::{chrome_trace_digest, fnv1a};
 
 fn engine(p: usize) -> Engine {
     Engine::new(
@@ -43,6 +44,97 @@ fn distribute_shuffled_permutation_is_pinned() {
             got, want,
             "seed {seed:#x}: permutation moved (got {got:#x})"
         );
+    }
+}
+
+#[test]
+fn mesh_build_and_matvec_are_pinned() {
+    // Everything `DistMesh::build` + three chained matvecs leave behind on
+    // a two-level machine, folded into one FNV-1a digest per (seed, p): the
+    // result bits, per-rank clocks, the whole `RunStats`, the sync-point
+    // count, the sorted comm-matrix entries and the Chrome-trace digest.
+    // Observables only — ghost slot numbering is free to change, the order
+    // couplings are summed in is not (it fixes the `f64` bits). Recorded
+    // before the fem exchanges moved onto the flat arena.
+    let machine =
+        MachineModel::custom("pin-smp", 1.0 / 3.7e9, 25.0e-6, 1.0 / 0.04e9, 4).hierarchical_smp();
+    let pins: [(u64, [u64; 3]); 3] = [
+        (
+            11,
+            [
+                0x059d_4d82_8195_ea77,
+                0xb0cd_3cf2_53e4_abb6,
+                0x71a8_eb75_618a_0093,
+            ],
+        ),
+        (
+            12,
+            [
+                0x1d50_ff5d_1197_5e4c,
+                0xfdb4_5d5d_b08e_b215,
+                0xeb3a_4d49_d132_9409,
+            ],
+        ),
+        (
+            13,
+            [
+                0x288b_1f17_0181_57b5,
+                0x764d_7f91_6f35_3f62,
+                0xb9d1_e65f_d810_1b02,
+            ],
+        ),
+    ];
+    for (seed, want) in pins {
+        let tree = balance21(&MeshParams::normal(1_200, seed).build::<3>(Curve::Hilbert));
+        for (p, want) in [1usize, 7, 64].into_iter().zip(want) {
+            let perf = PerfModel::new(machine.clone(), AppModel::laplacian_matvec());
+            let mut e = Engine::new(p, perf).with_tracing().record_comm_matrix();
+            let out = treesort_partition(
+                &mut e,
+                distribute_shuffled(&tree, p, seed),
+                PartitionOptions::with_tolerance(0.1),
+            );
+            let mesh = DistMesh::build(&mut e, out.dist, Curve::Hilbert);
+            let mut x = DistVec::from_parts(
+                (0..p)
+                    .map(|r| {
+                        let cells = mesh.cells.rank(r).iter();
+                        cells
+                            .map(|kc| {
+                                let c = kc.cell.center_unit();
+                                (c[0] * 5.0).sin() + c[1] * c[2]
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            );
+            let mut ghosts = 0;
+            for _ in 0..3 {
+                let (y, stats) = laplacian_matvec(&mut e, &mesh, &mut x);
+                ghosts += stats.ghost_elements;
+                x = y;
+            }
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            let mut entries: Vec<_> = e.comm_matrix().expect("recording on").entries().collect();
+            entries.sort_unstable();
+            let footprint = format!(
+                "{:?}",
+                (
+                    bits(&x.concat()),
+                    bits(e.clocks()),
+                    e.stats(),
+                    e.sync_points(),
+                    ghosts,
+                    entries,
+                    chrome_trace_digest(e.tracer()),
+                )
+            );
+            let got = fnv1a(footprint.as_bytes());
+            assert_eq!(
+                got, want,
+                "seed {seed}, p = {p}: footprint moved (got {got:#018x})"
+            );
+        }
     }
 }
 

@@ -72,7 +72,7 @@ fn oracle_serve_vs_library() {
     sweep(oracles::serve_vs_library, 0x0175_0007, 100);
 }
 
-/// Oracle 8: the sparse and flat-arena all-to-alls deliver bit-identical
+/// Oracle 8: the flat-arena and routed all-to-alls deliver bit-identical
 /// payloads, comm matrices and virtual-clock charges to the dense p×p
 /// reference, for every staging algorithm, clean and faulted.
 #[test]
