@@ -1,5 +1,5 @@
 //! The `bench` runner: measures the kernel registry and emits / gates on
-//! `BENCH_<host>.json` (see DESIGN.md §13).
+//! `BENCH_<host>.json` (see DESIGN.md, *bench*).
 //!
 //! ```text
 //! bench run [--tiny] [--filter SUBSTR] [--samples K] [--out PATH]
@@ -16,6 +16,7 @@ use optipart_bench::alloc_count::{self, CountingAllocator};
 use optipart_bench::kernels::{self, Kernel};
 use optipart_bench::report::{compare_reports, KernelResult, Report};
 use optipart_mpisim::par;
+use optipart_scenario::flags::{parse_flags, FlagSpec};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -29,16 +30,21 @@ fn main() {
         Some("run") => cmd_run(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
         Some("list") => cmd_list(),
-        _ => {
-            eprintln!(
-                "usage: bench run [--tiny] [--filter SUBSTR] [--samples K] [--out PATH]\n       \
-                 bench compare --baseline PATH [--current PATH] [--max-regression PCT] [--allocs-only]\n       \
-                 bench list"
-            );
-            2
-        }
+        _ => usage(""),
     };
     std::process::exit(code);
+}
+
+fn usage(err: &str) -> ! {
+    if !err.is_empty() {
+        eprintln!("bench: {err}\n");
+    }
+    eprintln!(
+        "usage: bench run [--tiny] [--filter SUBSTR] [--samples K] [--out PATH]\n       \
+         bench compare --baseline PATH [--current PATH] [--max-regression PCT] [--allocs-only]\n       \
+         bench list"
+    );
+    std::process::exit(2)
 }
 
 fn cmd_list() -> i32 {
@@ -52,28 +58,22 @@ fn cmd_list() -> i32 {
 }
 
 fn cmd_run(args: &[String]) -> i32 {
-    let mut tiny = false;
-    let mut filter: Option<String> = None;
-    let mut samples: usize = 0;
-    let mut out: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tiny" => tiny = true,
-            "--filter" => filter = it.next().cloned(),
-            "--samples" => {
-                samples = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| bad_flag("--samples"))
-            }
-            "--out" => out = it.next().map(PathBuf::from),
-            other => bad_flag(other),
-        }
-    }
-    if samples == 0 {
-        samples = if tiny { 3 } else { 10 };
-    }
+    let f = parse_flags(
+        args,
+        &FlagSpec {
+            valued: &["filter", "samples", "out"],
+            booleans: &["tiny"],
+            ..Default::default()
+        },
+        usage,
+    );
+    let tiny = f.has("tiny");
+    let filter = f.get("filter");
+    let samples = match f.parse("samples", 0usize) {
+        0 if tiny => 3,
+        0 => 10,
+        k => k,
+    };
     let host = hostname();
     let threads = par::num_threads();
     let cores = cores();
@@ -84,10 +84,8 @@ fn cmd_run(args: &[String]) -> i32 {
 
     let mut results = Vec::new();
     for k in kernels::registry() {
-        if let Some(f) = &filter {
-            if !k.name.contains(f.as_str()) {
-                continue;
-            }
+        if filter.is_some_and(|f| !k.name.contains(f)) {
+            continue;
         }
         let n = if tiny { k.tiny_n } else { k.full_n };
         let r = measure(&k, n, samples);
@@ -170,7 +168,10 @@ fn cmd_run(args: &[String]) -> i32 {
         kernels: results,
         derived,
     };
-    let path = out.unwrap_or_else(|| repo_root().join(format!("BENCH_{host}.json")));
+    let path = f.get("out").map_or_else(
+        || repo_root().join(format!("BENCH_{host}.json")),
+        PathBuf::from,
+    );
     if let Err(e) = std::fs::write(&path, report.to_json()) {
         eprintln!("bench run: cannot write {}: {e}", path.display());
         return 1;
@@ -220,30 +221,24 @@ fn measure(k: &Kernel, n: usize, samples: usize) -> KernelResult {
 }
 
 fn cmd_compare(args: &[String]) -> i32 {
-    let mut baseline: Option<PathBuf> = None;
-    let mut current: Option<PathBuf> = None;
-    let mut max_regression = 10.0f64;
-    let mut allocs_only = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => baseline = it.next().map(PathBuf::from),
-            "--current" => current = it.next().map(PathBuf::from),
-            "--max-regression" => {
-                max_regression = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| bad_flag("--max-regression"))
-            }
-            "--allocs-only" => allocs_only = true,
-            other => bad_flag(other),
-        }
-    }
-    let Some(baseline) = baseline else {
-        eprintln!("bench compare: --baseline PATH is required");
-        return 2;
+    let f = parse_flags(
+        args,
+        &FlagSpec {
+            valued: &["baseline", "current", "max-regression"],
+            booleans: &["allocs-only"],
+            ..Default::default()
+        },
+        usage,
+    );
+    let Some(baseline) = f.get("baseline").map(PathBuf::from) else {
+        usage("compare: --baseline PATH is required");
     };
-    let current = current.unwrap_or_else(|| repo_root().join(format!("BENCH_{}.json", hostname())));
+    let current = f.get("current").map_or_else(
+        || repo_root().join(format!("BENCH_{}.json", hostname())),
+        PathBuf::from,
+    );
+    let max_regression: f64 = f.parse("max-regression", 10.0);
+    let allocs_only = f.has("allocs-only");
     let base = match load(&baseline) {
         Ok(r) => r,
         Err(e) => {
@@ -343,9 +338,4 @@ fn repo_root() -> PathBuf {
         .join("../..")
         .canonicalize()
         .unwrap_or_else(|_| PathBuf::from("."))
-}
-
-fn bad_flag(flag: &str) -> ! {
-    eprintln!("bench: unknown or malformed flag {flag:?} (see `bench` with no args for usage)");
-    std::process::exit(2)
 }

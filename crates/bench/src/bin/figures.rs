@@ -13,7 +13,7 @@
 //! collectives strong-scaling sweep, 4,096 → `--max-p` virtual ranks,
 //! default 262,144); none of the four is part of `all`.
 //! `--scale` multiplies the scaled default problem sizes (1.0 = defaults
-//! documented in DESIGN.md §6; the paper's full sizes need a cluster-class
+//! documented in DESIGN.md §4; the paper's full sizes need a cluster-class
 //! machine). `--seed` changes the mesh RNG seed; `--out DIR` also writes
 //! CSVs. Every run ends by writing `BENCH_summary.json` (per-figure wall
 //! times plus every emitted table) to `--out DIR` or the working directory.
@@ -29,6 +29,7 @@ use optipart_bench::figs;
 use optipart_fem::amr::{amr_simulation, AmrConfig, Strategy};
 use optipart_machine::{AppModel, MachineModel, PerfModel};
 use optipart_mpisim::{Engine, FaultPlan};
+use optipart_scenario::flags::{parse_flags, FlagSpec};
 use std::process::exit;
 use std::time::Instant;
 
@@ -39,40 +40,32 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = RunConfig::default();
+    let f = parse_flags(
+        &args,
+        &FlagSpec {
+            valued: &["scale", "seed", "out", "trace", "max-p"],
+            booleans: &["help"],
+            short: &[("-h", "help")],
+            positionals: true,
+        },
+        usage,
+    );
+    if f.has("help") {
+        usage("");
+    }
+    let d = RunConfig::default();
+    let cfg = RunConfig {
+        scale: f.parse("scale", d.scale),
+        seed: f.parse("seed", d.seed),
+        max_p: f.parse("max-p", d.max_p),
+        out_dir: f.get("out").map(Into::into),
+    };
+    let trace_path = f.get("trace");
     let mut ids: Vec<String> = Vec::new();
-    let mut trace_path: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = it.next().unwrap_or_else(|| usage("--scale needs a value"));
-                cfg.scale = v.parse().unwrap_or_else(|_| usage("bad --scale value"));
-            }
-            "--seed" => {
-                let v = it.next().unwrap_or_else(|| usage("--seed needs a value"));
-                cfg.seed = v.parse().unwrap_or_else(|_| usage("bad --seed value"));
-            }
-            "--out" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage("--out needs a directory"));
-                cfg.out_dir = Some(v.into());
-            }
-            "--trace" => {
-                let v = it.next().unwrap_or_else(|| usage("--trace needs a path"));
-                trace_path = Some(v);
-            }
-            "--max-p" => {
-                let v = it.next().unwrap_or_else(|| usage("--max-p needs a value"));
-                cfg.max_p = v.parse().unwrap_or_else(|_| usage("bad --max-p value"));
-            }
+    for id in f.positionals() {
+        match id.as_str() {
             "all" => ids.extend(figs::ALL.iter().map(|s| s.to_string())),
-            "-h" | "--help" => {
-                usage("");
-            }
-            other if other.starts_with('-') => usage(&format!("unknown flag {other}")),
-            other => ids.push(other.to_string()),
+            _ => ids.push(id.clone()),
         }
     }
     if ids.is_empty() && trace_path.is_none() {
@@ -87,7 +80,7 @@ fn main() {
         }
         timings.push((id, t0.elapsed().as_secs_f64()));
     }
-    if let Some(path) = &trace_path {
+    if let Some(path) = trace_path {
         let t0 = Instant::now();
         traced_amr_demo(&cfg, path);
         timings.push(("traced-amr".into(), t0.elapsed().as_secs_f64()));

@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md §7 calls out.
+//! Ablation studies for the design choices DESIGN.md §4 lists.
 //!
 //! Not figures from the paper, but experiments that probe its design
 //! decisions:

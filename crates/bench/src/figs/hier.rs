@@ -17,7 +17,6 @@ use optipart_core::optipart::{optipart, OptiPartOptions};
 use optipart_core::partition::distribute_tree;
 use optipart_machine::{AppModel, MachineModel, PerfModel};
 use optipart_mpisim::{CommMatrix, Engine};
-use optipart_octree::generate::{sample_points_skewed, tree_from_points};
 use optipart_octree::{Distribution, MeshParams};
 use optipart_sfc::Curve;
 
@@ -69,100 +68,22 @@ fn matrix_for(
     communication_matrix(tree, &assign, p)
 }
 
-/// One measured point: the same skewed mesh partitioned under the flat
-/// demo machine and under its SMP hierarchy (`tw_intra = tw / 64`).
+/// One measured point: the same skewed (log-normal, Hilbert-ordered) mesh
+/// partitioned under the flat demo machine and under its SMP hierarchy
+/// (`tw_intra = tw / 64`) — same ladder options, only the machine differs.
 pub fn measure(n: usize, p: usize, ranks_per_node: usize, seed: u64) -> HierPoint {
-    measure_with(n, p, ranks_per_node, seed, OptiPartOptions::default())
-}
-
-/// [`measure`] with explicit ladder options — both models descend the
-/// ladder under the same options, only the machine differs.
-pub fn measure_with(
-    n: usize,
-    p: usize,
-    ranks_per_node: usize,
-    seed: u64,
-    opts: OptiPartOptions,
-) -> HierPoint {
-    measure_cfg_opts(
-        n,
-        p,
-        ranks_per_node,
-        seed,
-        Curve::Hilbert,
-        Distribution::LogNormal,
-        opts,
-    )
-}
-
-/// [`measure`] with explicit curve and point distribution.
-pub fn measure_cfg(
-    n: usize,
-    p: usize,
-    ranks_per_node: usize,
-    seed: u64,
-    curve: Curve,
-    distribution: Distribution,
-) -> HierPoint {
-    measure_cfg_opts(
-        n,
-        p,
-        ranks_per_node,
-        seed,
-        curve,
-        distribution,
-        OptiPartOptions::default(),
-    )
-}
-
-/// [`measure`] on the adversarially skewed corner-cloud mesh
-/// ([`sample_points_skewed`] with the given `shift`): three quarters of the
-/// points crammed into a `2^-shift` corner box over uniform background.
-/// The density contrast is what gives the tolerance ladder room — a loose
-/// rung can park the node-boundary splitter at the cluster edge, exact
-/// balance has to cut through the dense core.
-pub fn measure_skewed(
-    n: usize,
-    p: usize,
-    ranks_per_node: usize,
-    seed: u64,
-    shift: u32,
-) -> HierPoint {
-    let pts = sample_points_skewed::<3>(n, seed, shift);
-    let tree = tree_from_points(&pts, 1, 12, Curve::Hilbert);
-    measure_tree(&tree, p, ranks_per_node, seed, OptiPartOptions::default())
-}
-
-fn measure_cfg_opts(
-    n: usize,
-    p: usize,
-    ranks_per_node: usize,
-    seed: u64,
-    curve: Curve,
-    distribution: Distribution,
-    opts: OptiPartOptions,
-) -> HierPoint {
     let tree = MeshParams {
-        distribution,
+        distribution: Distribution::LogNormal,
         num_points: n,
         seed,
         ..Default::default()
     }
-    .build::<3>(curve);
-    measure_tree(&tree, p, ranks_per_node, seed, opts)
-}
-
-fn measure_tree(
-    tree: &optipart_octree::LinearTree<3>,
-    p: usize,
-    ranks_per_node: usize,
-    seed: u64,
-    opts: OptiPartOptions,
-) -> HierPoint {
-    let flat = matrix_for(demo_machine(ranks_per_node), tree, p, opts);
+    .build::<3>(Curve::Hilbert);
+    let opts = OptiPartOptions::default();
+    let flat = matrix_for(demo_machine(ranks_per_node), &tree, p, opts);
     let hier = matrix_for(
         demo_machine(ranks_per_node).hierarchical_smp(),
-        tree,
+        &tree,
         p,
         opts,
     );

@@ -2,7 +2,7 @@
 //!
 //! Every `run` function regenerates the corresponding figure's data as a
 //! text table (and CSV with `--out`). Paper sizes are scaled by
-//! `RunConfig::scale`; see DESIGN.md §6 for the mapping and EXPERIMENTS.md
+//! `RunConfig::scale`; see DESIGN.md §4 for the mapping and EXPERIMENTS.md
 //! for recorded shape checks.
 
 pub mod ablations;

@@ -18,9 +18,7 @@ use optipart_core::optipart::{optipart, OptiPartOptions, PartitionState};
 use optipart_core::partition::{distribute_tree, treesort_partition, PartitionOptions};
 use optipart_core::quality::partition_quality;
 use optipart_core::samplesort::{samplesort_partition, SampleSortOptions};
-use optipart_core::treesort::{
-    treesort, treesort_reference, treesort_threaded_with_scratch, LevelOffsets,
-};
+use optipart_core::treesort::{treesort, treesort_reference, treesort_scoped, LevelOffsets};
 use optipart_fem::amr::{step_mesh, AmrConfig};
 use optipart_fem::{laplacian_matvec, repartition_sequence, DistMesh};
 use optipart_machine::{AppModel, MachineModel, PerfModel};
@@ -29,7 +27,7 @@ use optipart_mpisim::{par, AllToAllAlgo, AlltoallvArena, DistVec, Engine};
 use optipart_octree::{sample_points, tree_from_points, Distribution, MeshParams};
 use optipart_serve::soak::mixed_stream;
 use optipart_serve::{ServeConfig, Server};
-use optipart_sfc::{Cell3, Curve, KeyedCell, SfcKey};
+use optipart_sfc::{Cell3, Curve, KeyedCell, SfcKey, MAX_DEPTH};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -86,7 +84,7 @@ pub fn registry() -> Vec<Kernel> {
                     elements,
                     run: Box::new(move || {
                         a.copy_from_slice(&input);
-                        treesort_threaded_with_scratch(&mut a, &mut scratch, 1);
+                        treesort_scoped(&mut a, &mut scratch, 0, MAX_DEPTH, 1);
                         checksum_cells(&a)
                     }),
                 }
@@ -110,7 +108,7 @@ pub fn registry() -> Vec<Kernel> {
                     elements,
                     run: Box::new(move || {
                         a.copy_from_slice(&input);
-                        treesort_threaded_with_scratch(&mut a, &mut scratch, threads);
+                        treesort_scoped(&mut a, &mut scratch, 0, MAX_DEPTH, threads);
                         checksum_cells(&a)
                     }),
                 }

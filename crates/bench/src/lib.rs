@@ -5,12 +5,12 @@
 //! `figures` binary dispatches to them.
 //!
 //! Each figure function takes a [`common::RunConfig`] whose `scale` shrinks
-//! the paper's problem sizes to laptop scale (see DESIGN.md §6 for the
+//! the paper's problem sizes to laptop scale (see DESIGN.md §4 for the
 //! mapping and EXPERIMENTS.md for recorded outputs).
 //!
 //! The `bench` binary drives the [`kernels`] registry and records
 //! [`report`]-schema `BENCH_<host>.json` files at the repo root, with
-//! allocation counts from [`alloc_count`] — see DESIGN.md §13.
+//! allocation counts from [`alloc_count`] — see DESIGN.md, *bench*.
 
 pub mod alloc_count;
 pub mod common;

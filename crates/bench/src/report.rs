@@ -20,7 +20,7 @@
 //! }
 //! ```
 //!
-//! Comparison policy (DESIGN.md §13): allocation counts and checksums are
+//! Comparison policy (DESIGN.md, *bench*): allocation counts and checksums are
 //! deterministic, so they gate unconditionally; per-element times gate at
 //! the threshold only when the runs come from the same host class
 //! (`--allocs-only` disables the time gate for cross-machine compares).

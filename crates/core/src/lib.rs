@@ -21,7 +21,7 @@
 //! * [`samplesort`] — the baseline: Morton + SampleSort partitioning as in
 //!   Dendro (§5.2), for the comparison figures.
 //! * [`metrics`] — partition-quality analysis: load/communication imbalance,
-//!   partition boundary surface, the communication matrix `M` and its NNZ
+//!   boundary element counts, the communication matrix `M` and its NNZ
 //!   (§5.5).
 
 pub mod metrics;

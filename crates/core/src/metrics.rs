@@ -1,12 +1,12 @@
 //! Partition-quality analysis (§5.5): communication matrix, NNZ, imbalance,
-//! boundary surface.
+//! boundary counts.
 //!
 //! These are *global* (sequential) analyses over the full tree, used by the
 //! figure harness and tests to characterise a partition exactly — the
 //! distributed estimates live in [`crate::quality`].
 
 use optipart_mpisim::CommMatrix;
-use optipart_octree::neighbors::{face_adjacent_leaves, segment_surface};
+use optipart_octree::neighbors::face_adjacent_leaves;
 use optipart_octree::LinearTree;
 use optipart_sfc::SfcKey;
 use std::collections::HashSet;
@@ -69,29 +69,6 @@ pub fn communication_matrix<const D: usize>(
         m.add(assign[ghost], receiver, 1);
     }
     m
-}
-
-/// Boundary surface area of each partition in finest-face units — the `s`
-/// of Fig. 2, exact across refinement levels.
-pub fn partition_surfaces<const D: usize>(
-    tree: &LinearTree<D>,
-    assign: &[usize],
-    p: usize,
-) -> Vec<u64> {
-    // Partitions are contiguous curve ranges; find each range.
-    let mut surfaces = vec![0u64; p];
-    let n = assign.len();
-    let mut start = 0usize;
-    while start < n {
-        let owner = assign[start];
-        let mut end = start + 1;
-        while end < n && assign[end] == owner {
-            end += 1;
-        }
-        surfaces[owner] += segment_surface(tree.leaves(), start, end, tree.curve());
-        start = end;
-    }
-    surfaces
 }
 
 /// Number of *boundary elements* per partition: elements with at least one
@@ -273,13 +250,5 @@ mod tests {
             assert!(b <= c);
         }
         assert!(bdy.iter().sum::<u64>() > 0);
-    }
-
-    #[test]
-    fn surfaces_positive_for_real_partitions() {
-        let (tree, splitters) = partitioned(3000, 8, Curve::Hilbert, 0.0);
-        let assign = assignment(&tree, &splitters);
-        let surf = partition_surfaces(&tree, &assign, 8);
-        assert!(surf.iter().all(|&s| s > 0));
     }
 }

@@ -45,53 +45,23 @@ pub const PAR_CUTOFF: usize = 2048;
 ///
 /// Equivalent to `a.sort_unstable()` on keyed cells, but top-down by digit,
 /// which is what gives the *distributed* variant its induced partitions.
-/// Allocates one scratch buffer; use [`treesort_with_scratch`] to reuse a
-/// buffer across calls and make the steady state allocation-free.
+/// Allocates one scratch buffer and uses the host's thread budget; every
+/// other configuration is [`treesort_scoped`].
 pub fn treesort<const D: usize>(a: &mut [KeyedCell<D>]) {
     let mut scratch = Vec::new();
     treesort_scoped(a, &mut scratch, 0, MAX_DEPTH, par::num_threads());
 }
 
-/// [`treesort`] with an explicit thread budget (1 = fully sequential) —
-/// the output is bit-identical for every budget.
-pub fn treesort_threaded<const D: usize>(a: &mut [KeyedCell<D>], threads: usize) {
-    let mut scratch = Vec::new();
-    treesort_scoped(a, &mut scratch, 0, MAX_DEPTH, threads);
-}
-
-/// [`treesort`] reusing a caller-owned scratch buffer: grown to `a.len()`
-/// on first use, never shrunk — repeated sorts of same-or-smaller inputs
-/// allocate nothing.
-pub fn treesort_with_scratch<const D: usize>(
-    a: &mut [KeyedCell<D>],
-    scratch: &mut Vec<KeyedCell<D>>,
-) {
-    treesort_scoped(a, scratch, 0, MAX_DEPTH, par::num_threads());
-}
-
-/// Explicit thread budget *and* caller-owned scratch — the bench runner's
-/// allocation-free single-thread configuration.
-pub fn treesort_threaded_with_scratch<const D: usize>(
-    a: &mut [KeyedCell<D>],
-    scratch: &mut Vec<KeyedCell<D>>,
-    threads: usize,
-) {
-    treesort_scoped(a, scratch, 0, MAX_DEPTH, threads);
-}
-
-/// Sorts by digits in split levels `[l1, l2)` only — the
-/// `TreeSort(A, l1, l2)` of Algorithm 1 (levels here count downward from the
-/// root; the paper counts upward from the leaves).
+/// The `TreeSort(A, l1, l2)` of Algorithm 1 with every argument explicit:
+/// sorts by digits in split levels `[l1, l2)` only (levels here count
+/// downward from the root; the paper counts upward from the leaves), so
+/// elements must already agree on digits above `l1` (they share a bucket).
 ///
-/// Elements must already agree on digits above `l1` (they share a bucket).
-pub fn treesort_levels<const D: usize>(a: &mut [KeyedCell<D>], l1: u8, l2: u8) {
-    let mut scratch = Vec::new();
-    treesort_scoped(a, &mut scratch, l1, l2, par::num_threads());
-}
-
-/// Common entry: clamps levels, handles trivial sizes, sizes the scratch
-/// buffer, and starts the in-place/out-of-place ping-pong.
-fn treesort_scoped<const D: usize>(
+/// `scratch` is caller-owned: grown to `a.len()` on first use, never
+/// shrunk, so repeated sorts of same-or-smaller inputs allocate nothing.
+/// `threads` is the worker budget (1 = fully sequential); the output is
+/// bit-identical for every budget.
+pub fn treesort_scoped<const D: usize>(
     a: &mut [KeyedCell<D>],
     scratch: &mut Vec<KeyedCell<D>>,
     l1: u8,
@@ -443,6 +413,11 @@ mod tests {
         cells
     }
 
+    /// The level-windowed sort at the host's thread budget.
+    fn levels(a: &mut [KeyedCell<3>], l1: u8, l2: u8) {
+        treesort_scoped(a, &mut Vec::new(), l1, l2, par::num_threads());
+    }
+
     #[test]
     fn treesort_matches_comparison_sort() {
         for curve in Curve::ALL {
@@ -466,12 +441,12 @@ mod tests {
                 treesort_levels_reference(&mut expected, 0, MAX_DEPTH);
                 for threads in [1usize, 2, 4] {
                     let mut a = base.clone();
-                    treesort_threaded(&mut a, threads);
+                    treesort_scoped(&mut a, &mut Vec::new(), 0, MAX_DEPTH, threads);
                     assert_eq!(a, expected, "{curve} seed {seed} threads {threads}");
                 }
                 let mut a = base.clone();
                 let mut scratch = Vec::new();
-                treesort_with_scratch(&mut a, &mut scratch);
+                treesort_scoped(&mut a, &mut scratch, 0, MAX_DEPTH, par::num_threads());
                 assert_eq!(a, expected, "{curve} seed {seed} with_scratch");
             }
         }
@@ -483,14 +458,14 @@ mod tests {
         // windowed sorts must stay bit-identical too.
         for (l1, l2) in [(0u8, 2u8), (0, 5), (1, 3), (2, MAX_DEPTH)] {
             let mut a = shuffled_mesh(900, 17, Curve::Hilbert);
-            treesort_levels(&mut a, 0, l1); // establish the l1-prefix grouping
+            levels(&mut a, 0, l1); // establish the l1-prefix grouping
             let mut expected = a.clone();
             let groups = level_groups(&a, l1);
             for w in &groups {
                 treesort_levels_reference(&mut expected[w.clone()], l1, l2);
             }
             for w in &groups {
-                treesort_levels(&mut a[w.clone()], l1, l2);
+                levels(&mut a[w.clone()], l1, l2);
             }
             assert_eq!(a, expected, "levels [{l1}, {l2})");
         }
@@ -513,7 +488,7 @@ mod tests {
             let mut a = shuffled_mesh(1200, seed, Curve::Morton);
             let mut expected = a.clone();
             expected.sort_unstable();
-            treesort_with_scratch(&mut a, &mut scratch);
+            treesort_scoped(&mut a, &mut scratch, 0, MAX_DEPTH, par::num_threads());
             assert_eq!(a, expected, "seed {seed}");
         }
         assert!(scratch.capacity() >= 1);
@@ -556,7 +531,7 @@ mod tests {
         // Sorting only levels [0, 2) groups elements by their level-2
         // ancestor without ordering inside groups.
         let mut a = shuffled_mesh(500, 9, Curve::Hilbert);
-        treesort_levels(&mut a, 0, 2);
+        levels(&mut a, 0, 2);
         let prefixes: Vec<u128> = a.iter().map(|kc| kc.key.prefix::<3>(2).path()).collect();
         // Prefixes must be non-decreasing (grouped in curve order).
         assert!(prefixes.windows(2).all(|w| w[0] <= w[1]));

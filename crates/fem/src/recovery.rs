@@ -1,7 +1,7 @@
 //! Fail-stop recovery drivers: checkpointed solve loops that survive rank
 //! deaths by shrinking to the survivor set and re-running OptiPart.
 //!
-//! The protocol (DESIGN.md §11) on top of the engine's fail-stop machinery:
+//! The protocol (DESIGN.md, *fem* and *mpisim*) on top of the engine's fail-stop machinery:
 //!
 //! 1. **Checkpoint** — at each opportunity the [`CheckpointStore`] deems due,
 //!    snapshot the partitioned octant buffer plus the solver vector

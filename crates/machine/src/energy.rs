@@ -93,14 +93,9 @@ impl PowerTrace {
     ///
     /// Communication intervals draw a fraction of dynamic power (the core is
     /// mostly stalled in the network stack) plus their NIC energy amortised
-    /// over the interval.
-    pub fn power_at(&self, node: usize, t: f64, power: &NodePower, ranks_per_node: usize) -> f64 {
-        self.power_at_hier(node, t, power, None, ranks_per_node)
-    }
-
-    /// [`PowerTrace::power_at`] under an optional two-level machine
-    /// hierarchy: on-node bytes amortise at the intra-node NIC rate.
-    pub fn power_at_hier(
+    /// over the interval; under a two-level machine `hierarchy`, on-node
+    /// bytes amortise at the intra-node NIC rate.
+    pub fn power_at(
         &self,
         node: usize,
         t: f64,
@@ -131,21 +126,11 @@ impl PowerTrace {
 
     /// Exact (closed-form) energy report, integrating the same power
     /// function analytically. The IPMI sampler converges to this as the
-    /// sampling period shrinks.
+    /// sampling period shrinks. Under a two-level machine `hierarchy` the
+    /// NIC Joules of each communication interval's on-node bytes are charged
+    /// at the intra-node rate, matching [`crate::MachineModel::nic_j`]
+    /// bit-for-bit.
     pub fn exact_energy(
-        &self,
-        power: &NodePower,
-        ranks_per_node: usize,
-        num_nodes: usize,
-    ) -> EnergyReport {
-        self.exact_energy_hier(power, None, ranks_per_node, num_nodes)
-    }
-
-    /// [`PowerTrace::exact_energy`] under an optional two-level machine
-    /// hierarchy: the NIC Joules of each communication interval's on-node
-    /// bytes are charged at the intra-node rate, matching
-    /// [`crate::MachineModel::nic_j`] bit-for-bit.
-    pub fn exact_energy_hier(
         &self,
         power: &NodePower,
         hierarchy: Option<&Hierarchy>,
@@ -222,18 +207,6 @@ impl IpmiSampler {
         &self,
         trace: &PowerTrace,
         power: &NodePower,
-        ranks_per_node: usize,
-        num_nodes: usize,
-    ) -> EnergyReport {
-        self.measure_hier(trace, power, None, ranks_per_node, num_nodes)
-    }
-
-    /// [`IpmiSampler::measure`] under an optional two-level machine
-    /// hierarchy, consistent with [`PowerTrace::exact_energy_hier`].
-    pub fn measure_hier(
-        &self,
-        trace: &PowerTrace,
-        power: &NodePower,
         hierarchy: Option<&Hierarchy>,
         ranks_per_node: usize,
         num_nodes: usize,
@@ -243,14 +216,14 @@ impl IpmiSampler {
         while t < trace.makespan {
             let dt = self.period_s.min(trace.makespan - t);
             for (node, e) in per_node.iter_mut().enumerate() {
-                *e += trace.power_at_hier(node, t, power, hierarchy, ranks_per_node) * dt;
+                *e += trace.power_at(node, t, power, hierarchy, ranks_per_node) * dt;
             }
             t += self.period_s;
         }
         // The sampler cannot attribute Joules to phases; reuse the exact
         // split for the comm share (the paper post-processes job phase
         // timestamps the same way).
-        let exact = trace.exact_energy_hier(power, hierarchy, ranks_per_node, num_nodes);
+        let exact = trace.exact_energy(power, hierarchy, ranks_per_node, num_nodes);
         let total: f64 = per_node.iter().sum();
         EnergyReport {
             per_node_j: per_node,
@@ -314,7 +287,7 @@ mod tests {
     #[test]
     fn exact_energy_accounts_idle_and_dynamic() {
         let t = simple_trace();
-        let rep = t.exact_energy(&power(), 2, 1);
+        let rep = t.exact_energy(&power(), None, 2, 1);
         // idle 100 W × 10 s + 100 W/rank × (10 + 4) s = 1000 + 1400.
         assert!((rep.total_j - 2400.0).abs() < 1e-9, "total {}", rep.total_j);
         assert_eq!(rep.comm_j, 0.0);
@@ -341,8 +314,8 @@ mod tests {
             bytes: 0,
             bytes_intra: 0,
         });
-        let eb = balanced.exact_energy(&power(), 2, 1).total_j;
-        let ei = simple_trace().exact_energy(&power(), 2, 1).total_j;
+        let eb = balanced.exact_energy(&power(), None, 2, 1).total_j;
+        let ei = simple_trace().exact_energy(&power(), None, 2, 1).total_j;
         assert!(eb < ei, "balanced {eb} must beat imbalanced {ei}");
     }
 
@@ -359,7 +332,7 @@ mod tests {
                 bytes,
                 bytes_intra: 0,
             });
-            t.exact_energy(&p, 1, 1)
+            t.exact_energy(&p, None, 1, 1)
         };
         let small = mk(1_000_000);
         let large = mk(1_000_000_000);
@@ -372,9 +345,13 @@ mod tests {
     fn ipmi_sampler_converges_to_exact() {
         let t = simple_trace();
         let p = power();
-        let exact = t.exact_energy(&p, 2, 1).total_j;
-        let coarse = IpmiSampler { period_s: 1.0 }.measure(&t, &p, 2, 1).total_j;
-        let fine = IpmiSampler { period_s: 0.01 }.measure(&t, &p, 2, 1).total_j;
+        let exact = t.exact_energy(&p, None, 2, 1).total_j;
+        let coarse = IpmiSampler { period_s: 1.0 }
+            .measure(&t, &p, None, 2, 1)
+            .total_j;
+        let fine = IpmiSampler { period_s: 0.01 }
+            .measure(&t, &p, None, 2, 1)
+            .total_j;
         // Piecewise-constant trace with integer breakpoints: 1 Hz is exact
         // (up to one sample landing on a breakpoint under float drift).
         assert!((coarse - exact).abs() < 1e-6);
@@ -396,8 +373,10 @@ mod tests {
             bytes_intra: 0,
         });
         let p = power();
-        let exact = t.exact_energy(&p, 1, 1).total_j;
-        let sampled = IpmiSampler { period_s: 1.0 }.measure(&t, &p, 1, 1).total_j;
+        let exact = t.exact_energy(&p, None, 1, 1).total_j;
+        let sampled = IpmiSampler { period_s: 1.0 }
+            .measure(&t, &p, None, 1, 1)
+            .total_j;
         assert!((sampled - exact).abs() <= (p.peak_w - p.idle_w) * 1.0 + 1e-9);
     }
 
@@ -414,14 +393,14 @@ mod tests {
         });
         let p = power();
         // ranks_per_node = 2 → rank 3 is on node 1.
-        assert_eq!(t.power_at(0, 1.0, &p, 2), p.idle_w);
-        assert!(t.power_at(1, 1.0, &p, 2) > p.idle_w);
+        assert_eq!(t.power_at(0, 1.0, &p, None, 2), p.idle_w);
+        assert!(t.power_at(1, 1.0, &p, None, 2) > p.idle_w);
     }
 
     #[test]
     fn per_node_vector_length_matches_nodes() {
         let t = simple_trace();
-        let rep = t.exact_energy(&power(), 1, 2);
+        let rep = t.exact_energy(&power(), None, 1, 2);
         assert_eq!(rep.per_node_j.len(), 2);
     }
 }

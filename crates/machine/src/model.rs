@@ -170,12 +170,6 @@ impl MachineModel {
         }
     }
 
-    /// Attaches a two-level hierarchy (builder style).
-    pub fn with_hierarchy(mut self, h: Hierarchy) -> Self {
-        self.hierarchy = Some(h);
-        self
-    }
-
     /// The *degenerate* two-level machine: a hierarchy whose intra-node
     /// figures equal the flat inter-node ones. Every hierarchy-aware cost is
     /// written so this machine is bit-identical to the flat model — the

@@ -61,16 +61,10 @@ impl PerfModel {
         self.app.alpha * self.machine.tc * (work_units as f64 * self.app.elem_bytes)
     }
 
-    /// Eq. (1): expected runtime of the (unstaged) distributed TreeSort,
-    /// `Tp = tc·N/p + (ts + tw·p)·log p + tw·N/p`.
-    ///
-    /// `n_local` is the grain `N/p` in elements.
-    pub fn treesort_time(&self, n_local: u64, p: usize) -> f64 {
-        self.treesort_time_staged(n_local, p, p)
-    }
-
-    /// Eq. (2): the staged variant with `k ≤ p` splitters,
-    /// `Tp = tc·N/p + (ts + tw·k)·log p + tw·N/p`.
+    /// Eq. (2): expected runtime of the distributed TreeSort staged with
+    /// `k ≤ p` splitters, `Tp = tc·N/p + (ts + tw·k)·log p + tw·N/p`;
+    /// `k = p` is the unstaged Eq. (1). `n_local` is the grain `N/p` in
+    /// elements.
     pub fn treesort_time_staged(&self, n_local: u64, p: usize, k: usize) -> f64 {
         assert!(k >= 1 && k <= p.max(1));
         let bytes_local = n_local as f64 * self.app.elem_bytes;
@@ -78,13 +72,6 @@ impl PerfModel {
         self.machine.tc * bytes_local
             + (self.machine.ts + self.machine.tw * k as f64 * self.app.elem_bytes) * logp
             + self.machine.tw * bytes_local
-    }
-
-    /// §3.2's break-even analysis: the runtime delta of accepting
-    /// `extra_work` more units on the bottleneck rank in exchange for
-    /// `saved_comm` fewer exchanged units. Negative means the trade wins.
-    pub fn tradeoff(&self, extra_work: u64, saved_comm: u64) -> f64 {
-        self.compute_time(extra_work) - self.machine.tw * (saved_comm as f64 * self.app.elem_bytes)
     }
 }
 
@@ -162,7 +149,7 @@ mod tests {
         // Eq. (2) vs Eq. (1): limiting the splitters reduces the reduction
         // cost term.
         let m = PerfModel::new(MachineModel::titan(), AppModel::laplacian_matvec());
-        let full = m.treesort_time(1_000_000, 4096);
+        let full = m.treesort_time_staged(1_000_000, 4096, 4096);
         let staged = m.treesort_time_staged(1_000_000, 4096, 64);
         assert!(staged < full);
     }
@@ -170,25 +157,9 @@ mod tests {
     #[test]
     fn treesort_time_grows_with_grain_and_p() {
         let m = PerfModel::new(MachineModel::titan(), AppModel::laplacian_matvec());
-        assert!(m.treesort_time(2_000_000, 64) > m.treesort_time(1_000_000, 64));
-        assert!(m.treesort_time(1_000_000, 4096) > m.treesort_time(1_000_000, 64));
-    }
-
-    #[test]
-    fn tradeoff_sign() {
-        // §3.2: "an increase of 20 units of work resulting in a reduction of
-        // 5 units of data-exchange, would still provide savings" when comm is
-        // 10x work cost. Reconstruct that contrived example.
-        let machine = MachineModel::custom("contrived", 1.0, 0.0, 10.0, 1);
-        let app = AppModel {
-            alpha: 1.0,
-            elem_bytes: 1.0,
-        };
-        let m = PerfModel::new(machine, app);
-        // 5*10 - 20 = 30 units of savings.
-        assert_eq!(m.tradeoff(20, 5), -30.0);
-        // And the trade loses when savings are too small.
-        assert!(m.tradeoff(200, 5) > 0.0);
+        let eq1 = |n, p| m.treesort_time_staged(n, p, p);
+        assert!(eq1(2_000_000, 64) > eq1(1_000_000, 64));
+        assert!(eq1(1_000_000, 4096) > eq1(1_000_000, 64));
     }
 
     #[test]

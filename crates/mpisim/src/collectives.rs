@@ -15,7 +15,7 @@
 //! `Engine::account_link`, `Engine::settle_alltoall` (statistics, schedule
 //! cost, fault retries, clock charges), then move the payload in its own
 //! container shape and audit the delivery — so cost accounting exists once
-//! (DESIGN.md §17). All staging state lives in a per-engine
+//! (DESIGN.md, *mpisim*). All staging state lives in a per-engine
 //! `CollectiveScratch` pool, so a steady-state exchange allocates nothing
 //! proportional to `p`. The dense `p × p` entry point (`Engine::alltoallv`)
 //! is retained behind `#[cfg(any(test, feature = "reference"))]` as the
@@ -646,20 +646,6 @@ impl Engine {
         out
     }
 
-    /// Exclusive prefix sum (`MPI_Exscan`): rank `r` receives
-    /// `sum(contrib[0..r])`; rank 0 receives 0.
-    pub fn exscan_sum_u64(&mut self, contrib: &[u64]) -> Vec<u64> {
-        assert_eq!(contrib.len(), self.p);
-        self.charge_tree_collective("exscan", 8);
-        let mut out = Vec::with_capacity(self.p);
-        let mut acc = 0u64;
-        for &c in contrib {
-            out.push(acc);
-            acc += c;
-        }
-        out
-    }
-
     /// `MPI_Allgather`: every rank contributes a small buffer; all ranks
     /// receive the concatenation (rank order). Recursive-doubling cost:
     /// `log p · ts + tw · total_bytes`.
@@ -720,11 +706,10 @@ impl Engine {
         self.coll_scratch = s;
 
         // Audit bookkeeping: element counts per (src, dst) before the move.
-        let expected: Option<Vec<Vec<usize>>> = self.audit.then(|| {
-            send.iter()
-                .map(|row| row.iter().map(Vec::len).collect())
-                .collect()
-        });
+        let expected: Vec<Vec<usize>> = send
+            .iter()
+            .map(|row| row.iter().map(Vec::len).collect())
+            .collect();
 
         // Data movement: recv[dst][src] = send[src][dst]. Iterating rows in
         // ascending src order fills every recv row in src order directly —
@@ -736,9 +721,7 @@ impl Engine {
             }
         }
 
-        if let Some(expected) = expected {
-            self.audit_alltoallv(&expected, &recv, total_bytes, elem);
-        }
+        self.audit_alltoallv(&expected, &recv, total_bytes, elem);
         recv
     }
 
@@ -831,22 +814,20 @@ impl Engine {
         // Structural O(segs) audit: every staged element was delivered
         // exactly once and the charged byte total matches the off-rank
         // bytes moved.
-        if self.audit {
-            assert!(
-                arena.out.len() == arena.data.len(),
-                "audit: alltoallv_flat #{} lost elements: staged {}, delivered {}",
-                self.collective_seq - 1,
-                arena.data.len(),
-                arena.out.len(),
-            );
-            assert!(
-                moved == total_bytes,
-                "audit: alltoallv_flat #{} byte accounting mismatch: charged \
-                 {total_bytes} B, moved {moved} B",
-                self.collective_seq - 1,
-            );
-            self.stats.audited_collectives += 1;
-        }
+        assert!(
+            arena.out.len() == arena.data.len(),
+            "audit: alltoallv_flat #{} lost elements: staged {}, delivered {}",
+            self.collective_seq - 1,
+            arena.data.len(),
+            arena.out.len(),
+        );
+        assert!(
+            moved == total_bytes,
+            "audit: alltoallv_flat #{} byte accounting mismatch: charged \
+             {total_bytes} B, moved {moved} B",
+            self.collective_seq - 1,
+        );
+        self.stats.audited_collectives += 1;
         arena.data.clear();
         arena.segs.clear();
     }
@@ -906,19 +887,17 @@ impl Engine {
         }
         // Structural audit: pass 2 delivered exactly the elements pass 1
         // counted, per destination.
-        if self.audit {
-            for (d, row) in out.iter().enumerate() {
-                assert!(
-                    row.len() as u64 == s.out_totals[d],
-                    "audit: alltoallv_by #{} rank {d} received {} elements, \
-                     routed {}",
-                    self.collective_seq - 1,
-                    row.len(),
-                    s.out_totals[d],
-                );
-            }
-            self.stats.audited_collectives += 1;
+        for (d, row) in out.iter().enumerate() {
+            assert!(
+                row.len() as u64 == s.out_totals[d],
+                "audit: alltoallv_by #{} rank {d} received {} elements, \
+                 routed {}",
+                self.collective_seq - 1,
+                row.len(),
+                s.out_totals[d],
+            );
         }
+        self.stats.audited_collectives += 1;
         for d in 0..p {
             s.out_totals[d] = 0;
         }
@@ -962,12 +941,6 @@ mod tests {
         let mut e = engine(3);
         let out = e.allreduce_sum_vec_u64(&[vec![1, 0], vec![2, 5], vec![3, 1]]);
         assert_eq!(out, vec![6, 6]);
-    }
-
-    #[test]
-    fn exscan_is_exclusive() {
-        let mut e = engine(4);
-        assert_eq!(e.exscan_sum_u64(&[5, 1, 2, 7]), vec![0, 5, 6, 8]);
     }
 
     #[test]

@@ -37,12 +37,6 @@ impl<T> DistVec<T> {
         &self.ranks[r]
     }
 
-    /// Mutable local buffer of rank `r`.
-    #[inline]
-    pub fn rank_mut(&mut self, r: usize) -> &mut Vec<T> {
-        &mut self.ranks[r]
-    }
-
     /// All local buffers.
     #[inline]
     pub fn parts(&self) -> &[Vec<T>] {

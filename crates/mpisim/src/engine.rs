@@ -47,10 +47,6 @@ pub struct Engine {
     /// Injected faults: the plan plus its materialised per-rank factors.
     /// `None` means a clean machine (all factors 1, no failures).
     pub(crate) faults: Option<(FaultPlan, RankFaults)>,
-    /// Conservation/monotonicity auditing (crate docs, "Fault injection and
-    /// auditing"). On by default; the checks are cheap relative to the data
-    /// movement they guard.
-    pub(crate) audit: bool,
     /// Sequence number of the next data-moving collective — the event
     /// identity transient-failure draws are keyed on.
     pub(crate) collective_seq: u64,
@@ -96,7 +92,6 @@ impl Engine {
             node_dynamic_j: vec![0.0; nodes],
             comm_j: 0.0,
             faults: None,
-            audit: true,
             collective_seq: 0,
             sync_seq: 0,
             tracks: (0..p).collect(),
@@ -128,14 +123,6 @@ impl Engine {
     pub fn with_tracing(mut self) -> Self {
         self.tracer.enable_spans();
         self.annotate_faults();
-        self
-    }
-
-    /// Additionally stamps spans with host wall-clock seconds. Wall time is
-    /// determinism-exempt: enabling it makes the export differ between
-    /// runs. Implies nothing about the virtual clocks, which stay exact.
-    pub fn with_wall_time(mut self) -> Self {
-        self.tracer.enable_wall_time();
         self
     }
 
@@ -171,18 +158,6 @@ impl Engine {
         for (seq, r) in self.kills.clone() {
             self.tracer.mark(r, 0.0, "fault.failstop", seq as f64);
         }
-    }
-
-    /// Enables or disables invariant auditing (on by default).
-    pub fn with_audit(mut self, on: bool) -> Self {
-        self.audit = on;
-        self
-    }
-
-    /// The active fault plan, if any.
-    #[inline]
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|(plan, _)| plan)
     }
 
     /// The materialised per-rank fault factors, if any.
@@ -247,13 +222,6 @@ impl Engine {
     #[inline]
     pub fn alive_ranks(&self) -> &[usize] {
         &self.tracks
-    }
-
-    /// The rank count the engine was built with (fail-stop shrinks reduce
-    /// [`Engine::p`] but trace tracks keep the original width).
-    #[inline]
-    pub fn initial_p(&self) -> usize {
-        self.tracer.p()
     }
 
     /// Synchronisation points passed so far — every collective, barrier,
@@ -514,12 +482,10 @@ impl Engine {
             Some((_, ranks)) => secs * ranks.compute_factor[track],
             None => secs,
         };
-        if self.audit {
-            assert!(
-                secs.is_finite() && secs > 0.0,
-                "audit: rank {rank} charged non-finite/negative compute time {secs}"
-            );
-        }
+        assert!(
+            secs.is_finite() && secs > 0.0,
+            "audit: rank {rank} charged non-finite/negative compute time {secs}"
+        );
         let t0 = self.clocks[rank];
         let t1 = t0 + secs;
         self.clocks[rank] = t1;
@@ -553,17 +519,15 @@ impl Engine {
     ) {
         debug_assert!(bytes_intra <= bytes, "intra bytes exceed total");
         let t1 = t0 + secs;
-        if self.audit {
-            assert!(
-                secs.is_finite() && secs >= 0.0,
-                "audit: rank {rank} charged non-finite/negative comm time {secs}"
-            );
-            assert!(
-                t1 + 1e-15 >= self.clocks[rank],
-                "audit: rank {rank} clock would run backwards ({} -> {t1})",
-                self.clocks[rank]
-            );
-        }
+        assert!(
+            secs.is_finite() && secs >= 0.0,
+            "audit: rank {rank} charged non-finite/negative comm time {secs}"
+        );
+        assert!(
+            t1 + 1e-15 >= self.clocks[rank],
+            "audit: rank {rank} clock would run backwards ({} -> {t1})",
+            self.clocks[rank]
+        );
         self.clocks[rank] = t1;
         let track = self.tracks[rank];
         let machine = &self.perf.machine;
@@ -696,7 +660,7 @@ mod tests {
         let from_trace =
             e.trace()
                 .unwrap()
-                .exact_energy(&m.power, m.ranks_per_node, m.nodes_for(4));
+                .exact_energy(&m.power, None, m.ranks_per_node, m.nodes_for(4));
         let incremental = e.energy_report();
         assert!((from_trace.total_j - incremental.total_j).abs() < 1e-9);
     }

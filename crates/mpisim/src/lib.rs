@@ -53,8 +53,7 @@
 //! invariants after every collective — `alltoallv` neither loses nor
 //! duplicates elements, byte accounting matches the buffers actually
 //! moved, virtual clocks never run backwards — and panics with rank-level
-//! diagnostics on the first violation. See DESIGN.md, "Fault model and
-//! audits".
+//! diagnostics on the first violation. See DESIGN.md, *mpisim* ("Audits").
 //!
 //! ## Fail-stop failures and recovery
 //!
@@ -68,7 +67,7 @@
 //! restore app state from a [`CheckpointStore`]
 //! (in-memory partner checkpointing, [`checkpoint`] module), repartition
 //! over the survivors, and re-run lost work — every recovery cost lands on
-//! the virtual clocks and in the critical path. See DESIGN.md §11.
+//! the virtual clocks and in the critical path. See DESIGN.md, *mpisim* and *fem*.
 
 pub mod checkpoint;
 pub mod collectives;

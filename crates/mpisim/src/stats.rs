@@ -90,11 +90,6 @@ impl CommMatrix {
         }
     }
 
-    /// Number of ranks (matrix dimension).
-    pub fn dim(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Iterates all non-zero `(src, dst, bytes)` entries.
     pub fn entries(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
         self.rows

@@ -47,12 +47,6 @@ impl<const D: usize> LinearTree<D> {
         LinearTree { curve, leaves: out }
     }
 
-    /// Wraps already-sorted, already-linear leaves (debug-asserted).
-    pub fn from_sorted(leaves: Vec<KeyedCell<D>>, curve: Curve) -> Self {
-        debug_assert!(is_linear(&leaves));
-        LinearTree { curve, leaves }
-    }
-
     /// The complete tree with a single leaf: the root.
     pub fn root(curve: Curve) -> Self {
         LinearTree {
@@ -152,11 +146,6 @@ impl<const D: usize> LinearTree<D> {
             i += 1;
         }
         Self::from_cells(out, self.curve)
-    }
-
-    /// Re-keys the same leaves on a different curve.
-    pub fn with_curve(&self, curve: Curve) -> Self {
-        Self::from_cells(self.leaves.iter().map(|kc| kc.cell).collect(), curve)
     }
 }
 
@@ -318,19 +307,6 @@ mod tests {
         // the recursion stops after one sweep.
         assert_eq!(c.len(), 8);
         assert!(c.is_complete());
-    }
-
-    #[test]
-    fn with_curve_preserves_leaves() {
-        let t: LinearTree<3> = LinearTree::root(Curve::Morton).refine_where(|c| c.level() < 2, 2);
-        let h = t.with_curve(Curve::Hilbert);
-        assert_eq!(h.len(), t.len());
-        assert!(h.is_complete());
-        assert_ne!(
-            t.leaves().iter().map(|kc| kc.cell).collect::<Vec<_>>(),
-            h.leaves().iter().map(|kc| kc.cell).collect::<Vec<_>>(),
-            "orders should differ between curves"
-        );
     }
 
     #[test]

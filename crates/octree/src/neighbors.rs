@@ -10,10 +10,8 @@
 use optipart_sfc::{Cell, Curve, KeyedCell, Point, SfcKey};
 use std::ops::Range;
 
-/// Indices of all leaves overlapping `region` (descendants, the region
-/// itself, or one containing ancestor) in a sorted linear leaf array —
-/// always one contiguous index run.
-pub fn overlapping_leaves<const D: usize>(
+/// [`overlapping_leaves_keyed`] for a region whose key is not yet known.
+fn overlapping_leaves<const D: usize>(
     leaves: &[KeyedCell<D>],
     region: &Cell<D>,
     curve: Curve,
@@ -21,8 +19,11 @@ pub fn overlapping_leaves<const D: usize>(
     overlapping_leaves_keyed(leaves, region, SfcKey::of(region, curve))
 }
 
-/// [`overlapping_leaves`] with the region's key precomputed — callers in
-/// hot loops often already hold it (e.g. after an ownership check).
+/// Indices of all leaves overlapping `region` (descendants, the region
+/// itself, or one containing ancestor) in a sorted linear leaf array —
+/// always one contiguous index run. `key` is the region's precomputed
+/// curve key: callers in hot loops often already hold it (e.g. after an
+/// ownership check).
 pub fn overlapping_leaves_keyed<const D: usize>(
     leaves: &[KeyedCell<D>],
     region: &Cell<D>,

@@ -12,6 +12,11 @@
 //! scenario per request). Keeping it separate is what lets the testkit
 //! host a server-vs-library differential oracle without a dependency
 //! cycle: scenario ← serve ← testkit.
+//!
+//! The crate also owns the command-line spelling of those fields, and so
+//! the one flag parser every binary uses: [`flags`].
+
+pub mod flags;
 
 use optipart_machine::{AppModel, MachineModel, PerfModel};
 use optipart_mpisim::rng::SplitMix64;
@@ -250,15 +255,6 @@ impl Workload {
                 .map(|steps| Workload::BoundaryLayer { steps });
         }
         None
-    }
-
-    /// Number of AMR steps a driver should run for this workload (1 for
-    /// static scenarios).
-    pub fn suggested_steps(self) -> usize {
-        match self {
-            Workload::Static => 1,
-            Workload::MovingFront { steps } | Workload::BoundaryLayer { steps } => steps as usize,
-        }
     }
 }
 

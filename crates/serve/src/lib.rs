@@ -7,7 +7,7 @@
 //! thread-per-core pool of workers, each owning a long-lived virtual BSP
 //! engine and a persistent warm [`PartitionState`] — so steady-state
 //! serving rides the exact-hit path the warm-start cache was built for
-//! (DESIGN.md §14/§15).
+//! (DESIGN.md, *core* and *serve*).
 //!
 //! The architecture, in one pass through a request (a line arriving on a
 //! stream first goes through [`front`] — capped line reader, classifier,

@@ -94,7 +94,7 @@ pub struct ServeConfig {
     /// Bounded queue depth per worker; submissions past this are shed.
     pub queue_cap: usize,
     /// Warm [`PartitionState`] LRU bound per (worker, rank count) — the
-    /// configurable `STATE_CAP` of DESIGN.md §14.
+    /// configurable state cap of DESIGN.md, *core* (warm start).
     pub state_cap: usize,
     /// Long-lived engines kept per worker (fault-free configs only).
     pub engine_cache: usize,
@@ -171,14 +171,6 @@ impl ServerStats {
             return 0.0;
         }
         1.0 - self.cold_passes as f64 / self.completed as f64
-    }
-
-    /// Exact-hit fraction of engine passes.
-    pub fn hit_rate(&self) -> f64 {
-        if self.engine_passes == 0 {
-            return 0.0;
-        }
-        self.hit_passes as f64 / self.engine_passes as f64
     }
 
     /// The request-conservation invariant in counter form: every submitted

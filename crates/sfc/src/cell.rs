@@ -183,7 +183,7 @@ impl<const D: usize> Cell<D> {
 
     /// Whether `self` is an ancestor of `other` (proper: not equal).
     #[inline]
-    pub fn is_ancestor_of(&self, other: &Self) -> bool {
+    fn is_ancestor_of(&self, other: &Self) -> bool {
         if self.level >= other.level {
             return false;
         }
@@ -240,19 +240,6 @@ impl<const D: usize> Cell<D> {
         })
     }
 
-    /// All existing same-size face neighbours (up to `2 D` of them).
-    pub fn face_neighbors(&self) -> Vec<Self> {
-        let mut out = Vec::with_capacity(2 * D);
-        for axis in 0..D {
-            for dir in [-1i8, 1] {
-                if let Some(n) = self.face_neighbor(axis, dir) {
-                    out.push(n);
-                }
-            }
-        }
-        out
-    }
-
     /// Whether two cells of *any* levels share a face (touch across a
     /// `(D-1)`-dimensional face with positive measure and do not overlap).
     pub fn shares_face_with(&self, other: &Self) -> bool {
@@ -295,12 +282,6 @@ impl<const D: usize> Cell<D> {
             area *= a1.min(b1) - a0.max(b0);
         }
         area
-    }
-
-    /// Total surface area of the cell in units of finest-level faces.
-    pub fn surface_area(&self) -> u64 {
-        let s = self.side() as u64;
-        2 * D as u64 * s.pow(D as u32 - 1)
     }
 
     /// Centre of the cell in unit-cube coordinates, for diagnostics.
@@ -409,14 +390,6 @@ mod tests {
         // A fine cell inside coarse does not "share a face".
         let inside = Cell3::new([0, 0, 0], 4);
         assert!(!coarse.shares_face_with(&inside));
-    }
-
-    #[test]
-    fn surface_area_formula() {
-        let c = Cell3::new([0, 0, 0], MAX_DEPTH);
-        assert_eq!(c.surface_area(), 6);
-        let q = Cell2::new([0, 0], MAX_DEPTH);
-        assert_eq!(q.surface_area(), 4);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::cell::{Coord, MAX_DEPTH};
 /// After the call, bit `b` of `x[i]` holds Hilbert-index bit
 /// `b * D + (D - 1 - i)`: interleaving the transformed words MSB-first with
 /// `x[0]` first yields the Hilbert index.
-pub fn axes_to_transpose<const D: usize>(x: &mut [Coord; D]) {
+fn axes_to_transpose<const D: usize>(x: &mut [Coord; D]) {
     let m: Coord = 1 << (MAX_DEPTH - 1);
     // Inverse undo.
     let mut q = m;
@@ -56,7 +56,7 @@ pub fn axes_to_transpose<const D: usize>(x: &mut [Coord; D]) {
 
 /// Inverse of [`axes_to_transpose`]: converts a transposed Hilbert index back
 /// into axis coordinates, in place.
-pub fn transpose_to_axes<const D: usize>(x: &mut [Coord; D]) {
+fn transpose_to_axes<const D: usize>(x: &mut [Coord; D]) {
     let n: u64 = 2u64 << (MAX_DEPTH - 1);
     // Gray decode by H ^ (H/2).
     let mut t = x[D - 1] >> 1;
@@ -84,7 +84,7 @@ pub fn transpose_to_axes<const D: usize>(x: &mut [Coord; D]) {
 /// Packs a transposed index into a single path integer: digit `k`
 /// (split level `k`) occupies bits `[(MAX_DEPTH-1-k)*D, (MAX_DEPTH-k)*D)`,
 /// with `x[0]`'s bit as the most significant bit of each digit.
-pub fn transpose_to_path<const D: usize>(x: &[Coord; D]) -> u128 {
+fn transpose_to_path<const D: usize>(x: &[Coord; D]) -> u128 {
     let mut path: u128 = 0;
     for k in 0..MAX_DEPTH {
         let bit = MAX_DEPTH - 1 - k;
@@ -98,7 +98,7 @@ pub fn transpose_to_path<const D: usize>(x: &[Coord; D]) -> u128 {
 }
 
 /// Inverse of [`transpose_to_path`].
-pub fn path_to_transpose<const D: usize>(path: u128) -> [Coord; D] {
+fn path_to_transpose<const D: usize>(path: u128) -> [Coord; D] {
     let mut x = [0 as Coord; D];
     for k in 0..MAX_DEPTH {
         let digit = (path >> ((MAX_DEPTH - 1 - k) as u32 * D as u32)) & ((1 << D) - 1);
@@ -110,7 +110,7 @@ pub fn path_to_transpose<const D: usize>(path: u128) -> [Coord; D] {
     x
 }
 
-/// Hilbert path of a lattice point: [`axes_to_transpose`] + packing.
+/// Hilbert path of a lattice point: `axes_to_transpose` + packing.
 pub fn hilbert_path<const D: usize>(coords: [Coord; D]) -> u128 {
     let mut x = coords;
     axes_to_transpose(&mut x);

@@ -29,7 +29,6 @@
 pub mod cell;
 pub mod hilbert;
 pub mod key;
-pub mod locality;
 pub mod morton;
 
 pub use cell::{Cell, Cell2, Cell3, Point, MAX_DEPTH};

@@ -12,10 +12,14 @@
 //! emits, so any failure message is copy-pastable.
 
 use optipart_testkit::corpus;
+use optipart_testkit::scenario::flags::{parse_flags, FlagSpec};
 use optipart_testkit::scenario::Scenario;
 use optipart_testkit::soak::{check_by_name, soak, CHECKS};
 
-fn usage() -> ! {
+fn usage(err: &str) -> ! {
+    if !err.is_empty() {
+        eprintln!("error: {err}\n");
+    }
     eprintln!(
         "usage:\n  testkit soak --budget <n> [--seed <s>] [--repro-file <path>]\n  \
          testkit replay --seed <s> [--check <name>] [--shape|--n|--p|--curve|--tol|\
@@ -29,10 +33,7 @@ fn usage() -> ! {
 fn parse_seed(s: &str) -> u64 {
     s.strip_prefix("0x")
         .map_or_else(|| s.parse(), |h| u64::from_str_radix(h, 16))
-        .unwrap_or_else(|_| {
-            eprintln!("bad seed `{s}`");
-            std::process::exit(2);
-        })
+        .unwrap_or_else(|_| usage(&format!("bad seed `{s}`")))
 }
 
 fn main() {
@@ -41,29 +42,22 @@ fn main() {
         Some("soak") => cmd_soak(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
         Some("corpus") => cmd_corpus(&args[1..]),
-        _ => usage(),
+        _ => usage(""),
     }
 }
 
 fn cmd_soak(args: &[String]) {
-    let mut budget = 100usize;
-    let mut seed = 1u64;
-    let mut repro_file = "target/testkit-repro.txt".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--budget" => {
-                budget = it
-                    .next()
-                    .unwrap_or_else(|| usage())
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--seed" => seed = parse_seed(it.next().unwrap_or_else(|| usage())),
-            "--repro-file" => repro_file = it.next().unwrap_or_else(|| usage()).clone(),
-            _ => usage(),
-        }
-    }
+    let f = parse_flags(
+        args,
+        &FlagSpec {
+            valued: &["budget", "seed", "repro-file"],
+            ..Default::default()
+        },
+        usage,
+    );
+    let budget: usize = f.parse("budget", 100);
+    let seed = f.get("seed").map_or(1, parse_seed);
+    let repro_file = f.get("repro-file").unwrap_or("target/testkit-repro.txt");
     println!(
         "testkit soak: budget {budget}, seed {seed}, {} checks",
         CHECKS.len()
@@ -84,10 +78,10 @@ fn cmd_soak(args: &[String]) {
                 f.message.replace('\n', "\n  "),
                 f.replay
             );
-            if let Some(dir) = std::path::Path::new(&repro_file).parent() {
+            if let Some(dir) = std::path::Path::new(repro_file).parent() {
                 let _ = std::fs::create_dir_all(dir);
             }
-            let _ = std::fs::write(&repro_file, format!("{}\n", f.replay));
+            let _ = std::fs::write(repro_file, format!("{}\n", f.replay));
             eprintln!("  repro written to {repro_file}");
             std::process::exit(1);
         }
@@ -95,38 +89,38 @@ fn cmd_soak(args: &[String]) {
 }
 
 fn cmd_replay(args: &[String]) {
-    let mut seed: Option<u64> = None;
-    let mut check = "all".to_string();
-    let mut overrides: Vec<(String, String)> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let flag = a.strip_prefix("--").unwrap_or_else(|| usage());
-        match flag {
-            "seed" => seed = Some(parse_seed(it.next().unwrap_or_else(|| usage()))),
-            "check" => check = it.next().unwrap_or_else(|| usage()).clone(),
-            "no-faults" => overrides.push(("no-faults".into(), String::new())),
-            key if Scenario::KEYS.contains(&key) => overrides.push((
-                key.to_string(),
-                it.next().unwrap_or_else(|| usage()).clone(),
-            )),
-            _ => usage(),
-        }
-    }
-    let Some(seed) = seed else { usage() };
+    let valued: Vec<&str> = ["seed", "check"]
+        .into_iter()
+        .chain(Scenario::KEYS)
+        .collect();
+    let f = parse_flags(
+        args,
+        &FlagSpec {
+            valued: &valued,
+            booleans: &["no-faults"],
+            ..Default::default()
+        },
+        usage,
+    );
+    let Some(seed) = f.get("seed").map(parse_seed) else {
+        usage("replay needs --seed")
+    };
+    let check = f.get("check").unwrap_or("all");
+    // Field overrides apply in command-line order, exactly as
+    // `replay_cmd()` wrote them.
     let mut scn = Scenario::from_seed(seed);
-    for (key, value) in &overrides {
+    for (key, value) in f.iter().filter(|(k, _)| !matches!(*k, "seed" | "check")) {
         if let Err(e) = scn.set(key, value) {
             eprintln!("--{key} {value}: {e}");
             std::process::exit(2);
         }
     }
     println!("replaying: {scn}");
-    if check != "all" && check_by_name(&check).is_none() {
-        eprintln!("unknown check `{check}`");
-        usage();
+    if check != "all" && check_by_name(check).is_none() {
+        usage(&format!("unknown check `{check}`"));
     }
     corpus::replay(&corpus::CorpusCase {
-        check: check.clone(),
+        check: check.to_string(),
         scenario: scn,
     });
     println!("replay OK ({check})");
@@ -134,7 +128,7 @@ fn cmd_replay(args: &[String]) {
 
 fn cmd_corpus(args: &[String]) {
     if args.is_empty() {
-        usage();
+        usage("corpus needs at least one file or directory");
     }
     let mut files: Vec<std::path::PathBuf> = Vec::new();
     for a in args {

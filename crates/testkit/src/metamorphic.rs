@@ -45,7 +45,7 @@ use optipart_core::partition::{
     distribute_shuffled, distribute_tree, treesort_partition, PartitionOptions, PartitionOutcome,
 };
 use optipart_core::quality::partition_quality;
-use optipart_core::treesort::treesort_threaded;
+use optipart_core::treesort::treesort_scoped;
 use optipart_core::{optipart, OptiPartOptions};
 use optipart_mpisim::par::par_map_mut_n;
 use optipart_mpisim::rng::SplitMix64;
@@ -447,7 +447,7 @@ pub fn tolerance_monotonicity(scn: &Scenario) {
 }
 
 /// The thread budget must never leak into results. Checked with *explicit*
-/// budgets (`par_map_mut_n`, [`treesort_threaded`]) so the property is
+/// budgets (`par_map_mut_n`, [`treesort_scoped`]) so the property is
 /// deterministic regardless of the environment the test runs under; the CI
 /// determinism matrix covers the `RAYON_NUM_THREADS` env path by running
 /// the whole tier-1 suite at 1 and 4 threads.
@@ -465,10 +465,10 @@ pub fn thread_count_invariance(scn: &Scenario) {
         cells.extend_from_slice(&copy);
     }
     let mut expected = cells.clone();
-    treesort_threaded(&mut expected, 1);
+    treesort_scoped(&mut expected, &mut Vec::new(), 0, MAX_DEPTH, 1);
     for threads in [2usize, 4] {
         let mut a = cells.clone();
-        treesort_threaded(&mut a, threads);
+        treesort_scoped(&mut a, &mut Vec::new(), 0, MAX_DEPTH, threads);
         tk_assert!(
             scn,
             a == expected,

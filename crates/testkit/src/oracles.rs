@@ -27,18 +27,17 @@ use optipart_core::quality::partition_quality;
 use optipart_core::samplesort::{samplesort_partition, SampleSortOptions};
 use optipart_core::threaded::threaded_treesort_partition;
 use optipart_core::treesort::{
-    treesort, treesort_levels, treesort_levels_reference, treesort_reference, treesort_threaded,
-    treesort_with_scratch, PAR_CUTOFF,
+    treesort, treesort_levels_reference, treesort_reference, treesort_scoped, PAR_CUTOFF,
 };
 use optipart_core::{optipart, OptiPartOptions};
 use optipart_fem::amr::{step_mesh, AmrConfig};
 use optipart_fem::{run_matvec_ft, DistMesh};
 use optipart_mpisim::rng::SplitMix64;
 use optipart_mpisim::{
-    threaded, AllToAllAlgo, AlltoallvArena, CheckpointPolicy, Engine, FaultPlan,
+    par, threaded, AllToAllAlgo, AlltoallvArena, CheckpointPolicy, Engine, FaultPlan,
 };
 use optipart_octree::LinearTree;
-use optipart_sfc::{KeyedCell, SfcKey};
+use optipart_sfc::{KeyedCell, SfcKey, MAX_DEPTH};
 
 /// The registry the soak driver and the tier-1 harness iterate over.
 pub const ORACLES: &[NamedCheck] = &[
@@ -359,33 +358,33 @@ pub fn treesort_optimized(scn: &Scenario) {
         treesort_reference(&mut expected);
         for threads in [1usize, 4] {
             let mut a = input.clone();
-            treesort_threaded(&mut a, threads);
+            treesort_scoped(&mut a, &mut Vec::new(), 0, MAX_DEPTH, threads);
             tk_assert!(
                 scn,
                 a == expected,
-                "{what} input ({} cells): treesort_threaded({threads}) diverged from reference",
+                "{what} input ({} cells): treesort at {threads} threads diverged from reference",
                 input.len()
             );
         }
         let mut a = input.clone();
         let mut scratch = Vec::new();
-        treesort_with_scratch(&mut a, &mut scratch);
+        treesort_scoped(&mut a, &mut scratch, 0, MAX_DEPTH, par::num_threads());
         tk_assert!(
             scn,
             a == expected,
-            "{what} input: treesort_with_scratch diverged from reference"
+            "{what} input: treesort with caller scratch diverged from reference"
         );
         // Windowed partial sorts must match too (the distributed variant
         // sorts level ranges).
         for (l1, l2) in [(0u8, 3u8), (0, 6)] {
             let mut a = input.clone();
-            treesort_levels(&mut a, l1, l2);
+            treesort_scoped(&mut a, &mut scratch, l1, l2, par::num_threads());
             let mut b = input.clone();
             treesort_levels_reference(&mut b, l1, l2);
             tk_assert!(
                 scn,
                 a == b,
-                "{what} input: treesort_levels([{l1}, {l2})) diverged from reference"
+                "{what} input: treesort over levels [{l1}, {l2}) diverged from reference"
             );
         }
     }

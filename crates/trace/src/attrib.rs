@@ -106,7 +106,7 @@ pub struct PhaseAttribution {
 
 impl PhaseAttribution {
     /// Total predicted phase time under Eq. (3) + latency extension.
-    pub fn predicted_s(&self) -> f64 {
+    fn predicted_s(&self) -> f64 {
         self.predicted_compute_s + self.predicted_comm_s + self.predicted_latency_s
     }
 

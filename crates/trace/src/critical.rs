@@ -83,7 +83,7 @@ impl CriticalPath {
     }
 
     /// Path seconds per phase, in first-appearance order.
-    pub fn by_phase(&self) -> Vec<(String, f64)> {
+    fn by_phase(&self) -> Vec<(String, f64)> {
         let mut out: Vec<(String, f64)> = Vec::new();
         for i in &self.items {
             match out.iter_mut().find(|(n, _)| *n == i.phase) {

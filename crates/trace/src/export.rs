@@ -78,22 +78,16 @@ pub fn chrome_trace_json(t: &Tracer) -> String {
             s.blocker,
         ));
     }
-    let wall = t.wall_time_enabled();
     for (r, spans) in t.spans().iter().enumerate() {
         for s in spans {
             let cat = match s.kind {
                 SpanKind::Compute => "compute",
                 SpanKind::Comm => "comm",
             };
-            let wall_arg = if wall {
-                format!(",\"wall_s\":{}", s.wall_s)
-            } else {
-                String::new()
-            };
             ev.push(format!(
                 "{{\"name\":{},\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{},\
                  \"dur\":{},\"pid\":0,\"tid\":{r},\"args\":{{\"bytes\":{},\
-                 \"phase\":{}{wall_arg}}}}}",
+                 \"phase\":{}}}}}",
                 quote(t.name(s.name)),
                 us(s.t0),
                 us(s.t1 - s.t0),
@@ -165,20 +159,9 @@ mod tests {
         assert!(a.contains("\"allreduce\""));
         assert!(a.contains("\"fault.straggler\""));
         assert!(a.contains("\"probe\""));
-        assert!(!a.contains("wall_s"), "wall time excluded by default");
         // Balanced braces (cheap well-formedness check without a parser).
         let open = a.matches('{').count();
         let close = a.matches('}').count();
         assert_eq!(open, close);
-    }
-
-    #[test]
-    fn wall_time_only_when_enabled() {
-        let mut t = Tracer::new(1);
-        t.enable_spans();
-        t.enable_wall_time();
-        t.record_compute(0, 0.0, 1.0, 8);
-        let j = chrome_trace_json(&t);
-        assert!(j.contains("wall_s"));
     }
 }

@@ -26,9 +26,8 @@
 //!
 //! 1. all mutation happens on the engine thread (the engine charges clocks
 //!    serially after its fork–join compute sections);
-//! 2. host wall-clock time never enters the trace unless explicitly enabled
-//!    with [`Tracer::enable_wall_time`], which is documented as
-//!    determinism-exempt and off by default.
+//! 2. host wall-clock time never enters the trace: the recorder has no
+//!    host clock, so a span holds virtual seconds only.
 //!
 //! # Overhead
 //!

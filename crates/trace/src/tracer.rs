@@ -31,10 +31,6 @@ pub struct Span {
     pub phase: u32,
     /// Bytes of memory traffic (compute) or wire traffic (comm).
     pub bytes: u64,
-    /// Host wall-clock at record time, seconds since tracing was enabled.
-    /// Always `0.0` unless wall time was explicitly enabled — wall time is
-    /// determinism-exempt and excluded from exports by default.
-    pub wall_s: f64,
 }
 
 /// An instant annotation on one rank's track (fault marks, retries).
@@ -115,8 +111,6 @@ pub struct PhaseRankStats {
 pub struct Tracer {
     p: usize,
     events_on: bool,
-    wall_on: bool,
-    epoch: Option<std::time::Instant>,
     /// Interned names; id = index. Id 0 is the root phase "".
     names: Vec<String>,
     ids: HashMap<String, u32>,
@@ -143,8 +137,6 @@ impl Tracer {
         let mut t = Tracer {
             p,
             events_on: false,
-            wall_on: false,
-            epoch: None,
             names: Vec::new(),
             ids: HashMap::new(),
             phase_stack: Vec::new(),
@@ -178,19 +170,6 @@ impl Tracer {
         self.events_on
     }
 
-    /// Additionally stamp each span with host wall-clock seconds. This is
-    /// the one determinism-exempt field; exports include it only when
-    /// enabled here.
-    pub fn enable_wall_time(&mut self) {
-        self.wall_on = true;
-        self.epoch = Some(std::time::Instant::now());
-    }
-
-    /// Whether wall-time stamping is on.
-    pub fn wall_time_enabled(&self) -> bool {
-        self.wall_on
-    }
-
     /// Clears all recorded events and counters, keeping the configuration
     /// (enabled flags and interner) — mirrors `Engine::reset`.
     pub fn reset(&mut self) {
@@ -205,7 +184,7 @@ impl Tracer {
     }
 
     /// Interns `s`, returning a stable id for this tracer's lifetime.
-    pub fn intern(&mut self, s: &str) -> u32 {
+    fn intern(&mut self, s: &str) -> u32 {
         if let Some(&id) = self.ids.get(s) {
             return id;
         }
@@ -219,13 +198,6 @@ impl Tracer {
     /// The string behind an interned id.
     pub fn name(&self, id: u32) -> &str {
         &self.names[id as usize]
-    }
-
-    fn wall_now(&self) -> f64 {
-        match (self.wall_on, &self.epoch) {
-            (true, Some(e)) => e.elapsed().as_secs_f64(),
-            _ => 0.0,
-        }
     }
 
     // ---- phases ---------------------------------------------------------
@@ -256,7 +228,7 @@ impl Tracer {
     }
 
     /// The innermost open phase (the root phase when none is open).
-    pub fn current_phase(&self) -> u32 {
+    fn current_phase(&self) -> u32 {
         self.phase_stack.last().copied().unwrap_or(ROOT_PHASE)
     }
 
@@ -301,7 +273,6 @@ impl Tracer {
         }
         let phase = self.current_phase();
         let name = self.intern("compute");
-        let wall_s = self.wall_now();
         self.spans[rank].push(Span {
             t0,
             t1,
@@ -309,7 +280,6 @@ impl Tracer {
             name,
             phase,
             bytes,
-            wall_s,
         });
         let s = self.per_phase_rank.entry((phase, rank)).or_default();
         s.compute_s += t1 - t0;
@@ -325,7 +295,6 @@ impl Tracer {
         }
         let phase = self.current_phase();
         let name = self.cur_collective;
-        let wall_s = self.wall_now();
         self.spans[rank].push(Span {
             t0,
             t1,
@@ -333,7 +302,6 @@ impl Tracer {
             name,
             phase,
             bytes,
-            wall_s,
         });
         let s = self.per_phase_rank.entry((phase, rank)).or_default();
         s.comm_s += t1 - t0;
@@ -398,21 +366,6 @@ impl Tracer {
     /// Instant marks in record order.
     pub fn marks(&self) -> &[Mark] {
         &self.marks
-    }
-
-    /// The marks whose interned name equals `name`, in record order —
-    /// convenient for filtering fault annotations (`"fault.death"`,
-    /// `"fault.retry"`, …) out of a recorded run.
-    pub fn marks_named(&self, name: &str) -> Vec<Mark> {
-        match self.ids.get(name) {
-            Some(&id) => self
-                .marks
-                .iter()
-                .filter(|m| m.name == id)
-                .copied()
-                .collect(),
-            None => Vec::new(),
-        }
     }
 
     /// Completed phase blocks in completion order.

@@ -25,20 +25,40 @@ use optipart::machine::{AppModel, MachineModel, PerfModel};
 use optipart::mpisim::{catch_rank_death, Engine, FaultPlan};
 use optipart::octree::Distribution;
 use optipart::octree::{LinearTree, MeshParams};
+use optipart::scenario::flags::{parse_flags, FlagSpec, Flags};
 use optipart::sfc::{Cell3, Curve};
 use std::io::{BufRead, BufWriter, Write};
 use std::process::exit;
 
-#[path = "../flags.rs"]
-mod flags;
-use flags::{parse_flags, Flags};
+/// Every flag of every subcommand (see `usage`).
+const SPEC: FlagSpec = FlagSpec {
+    valued: &[
+        "points",
+        "dist",
+        "seed",
+        "curve",
+        "out",
+        "mesh",
+        "p",
+        "machine",
+        "tolerance",
+        "steps",
+        "state-cap",
+        "trace",
+        "faults",
+        "parts",
+    ],
+    booleans: &["optipart", "latency-aware"],
+    short: &[("-p", "p")],
+    positionals: false,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         usage("missing subcommand");
     };
-    let opts = parse_flags(rest, &["optipart", "latency-aware"], &[("-p", "p")], usage);
+    let opts = parse_flags(rest, &SPEC, usage);
     match cmd.as_str() {
         "gen" => cmd_gen(&opts),
         "partition" => cmd_partition(&opts),

@@ -24,7 +24,7 @@
 //!
 //! A request line is flat JSON with a required `seed`; every other field
 //! overrides the scenario that seed expands to (replay semantics — see
-//! DESIGN.md §15):
+//! DESIGN.md, *serve*):
 //!
 //! ```text
 //! {"id":12,"seed":914776577726420758,"p":6,"tol":0.25,"deadline_s":0.5}
@@ -43,6 +43,7 @@
 //! protocol, the connection loop and the socket listener are
 //! `optipart::serve::front`, the chaos drivers `optipart::serve::chaos`.
 
+use optipart::scenario::flags::{parse_flags, FlagSpec, Flags};
 use optipart::serve::chaos::{chaos_soak, socket_chaos, ChaosKnobs};
 use optipart::serve::front::{connect_retry, finish, pump, Listener};
 use optipart::serve::protocol::DEFAULT_MAX_LINE;
@@ -51,21 +52,45 @@ use optipart::serve::{Admission, ServeConfig, Server};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::exit;
 
-#[path = "../flags.rs"]
-mod flags;
-use flags::{parse_flags, Flags};
+/// The request line `usage` shows: the wire spelling of each field.
+const EXAMPLE_REQUEST: &str = r#"{"id":1,"seed":7,"p":8,"tol":0.3,"deadline_s":0.5}"#;
+
+/// Every flag of every subcommand (see `usage`).
+const SPEC: FlagSpec = FlagSpec {
+    valued: &[
+        "workers",
+        "queue-cap",
+        "state-cap",
+        "engine-cache",
+        "admission",
+        "max-line",
+        "socket",
+        "accept",
+        "in",
+        "connect-wait-ms",
+        "requests",
+        "seed",
+        "distinct",
+        "kill-every",
+        "deadline-every",
+        "out",
+        "panics",
+        "disconnects",
+        "clients",
+        "corrupt",
+        "stall-every",
+    ],
+    booleans: &["no-batching", "verify", "allow-shed", "quiet", "no-socket"],
+    short: &[],
+    positionals: false,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         usage("missing subcommand");
     };
-    let f = parse_flags(
-        rest,
-        &["no-batching", "verify", "allow-shed", "quiet", "no-socket"],
-        &[],
-        usage,
-    );
+    let f = parse_flags(rest, &SPEC, usage);
     match cmd.as_str() {
         "serve" => cmd_serve(&f),
         "gen" => cmd_gen(&f),
@@ -434,7 +459,23 @@ fn usage(err: &str) -> ! {
          on failure.\n\n\
          requests are one flat-JSON object per line; `seed` is required and \
          every other field overrides the scenario it expands to:\n  \
-         {{\"id\":1,\"seed\":7,\"p\":8,\"tolerance\":0.3,\"deadline_s\":0.5}}"
+         {EXAMPLE_REQUEST}"
     );
     exit(if err.is_empty() { 0 } else { 2 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXAMPLE_REQUEST;
+    use optipart::serve::front::classify;
+
+    /// Unknown wire fields are ignored by design, so a misspelled field in
+    /// the usage text would silently drop the override it advertises.
+    #[test]
+    fn usage_example_sets_every_field_it_shows() {
+        let req = classify(EXAMPLE_REQUEST.as_bytes()).expect("the example parses");
+        assert_eq!((req.id, req.scn.seed, req.scn.p), (1, 7, 8));
+        assert_eq!(req.scn.tolerance, 0.3);
+        assert_eq!(req.deadline_s, Some(0.5));
+    }
 }

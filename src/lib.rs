@@ -3,8 +3,8 @@
 //! Facade crate of the OptiPart workspace, a Rust reproduction of
 //! Fernando, Duplyakin & Sundar, *Machine and Application Aware Partitioning
 //! for Adaptive Mesh Refinement Applications* (HPDC 2017). See README.md for
-//! the architecture overview, DESIGN.md for the system inventory and
-//! substitutions, and EXPERIMENTS.md for the reproduced evaluation.
+//! the overview, DESIGN.md for the substitutions and one contract per
+//! layer, and EXPERIMENTS.md for the reproduced evaluation.
 //!
 //! ## Module map
 //!
@@ -26,7 +26,8 @@
 //! * [`scenario`] — the seeded scenario model shared by the testkit, the
 //!   server protocol and the benchmarks: mesh shapes, element families
 //!   (hex/tet/prism/hybrid), machine hierarchies and time-varying
-//!   workloads, all derived deterministically from one `u64`.
+//!   workloads, all derived deterministically from one `u64`; also the
+//!   one `--key value` flag parser of every binary (`scenario::flags`).
 //! * [`serve`] — partition-as-a-service front end: fingerprint-sharded
 //!   warm-state worker pool, request batching, bounded-queue backpressure,
 //!   fault-soak verification (the `optipart-serve` binary).

@@ -6,8 +6,8 @@
 
 use optipart_bench::kernels::{self, checksum_cells, shuffled};
 use optipart_bench::report::{compare_reports, KernelResult, Report};
-use optipart_core::treesort::{treesort_reference, treesort_threaded};
-use optipart_sfc::Curve;
+use optipart_core::treesort::{treesort_reference, treesort_scoped};
+use optipart_sfc::{Curve, MAX_DEPTH};
 
 /// Every registry kernel runs at tiny N and returns the same checksum on
 /// consecutive iterations (the determinism `bench compare` gates on).
@@ -38,7 +38,7 @@ fn treesort_kernel_checksums_agree_across_variants() {
     let expected = checksum_cells(&reference);
     for threads in [1usize, 2, 4] {
         let mut a = input.clone();
-        treesort_threaded(&mut a, threads);
+        treesort_scoped(&mut a, &mut Vec::new(), 0, MAX_DEPTH, threads);
         assert_eq!(
             checksum_cells(&a),
             expected,

@@ -143,6 +143,7 @@ fn ipmi_sampling_matches_exact_energy() {
     .measure(
         e.trace().unwrap(),
         &machine.power,
+        None,
         machine.ranks_per_node,
         machine.nodes_for(p),
     );

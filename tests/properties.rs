@@ -356,8 +356,8 @@ fn energy_accounting_splits_and_samples_within_bounds() {
         halves.push(interval(0.0, dur / 2.0, comm, bytes / 2));
         halves.push(interval(dur / 2.0, dur, comm, bytes - bytes / 2));
         let (whole, halves) = (
-            whole.exact_energy(&power, 1, 1).total_j,
-            halves.exact_energy(&power, 1, 1).total_j,
+            whole.exact_energy(&power, None, 1, 1).total_j,
+            halves.exact_energy(&power, None, 1, 1).total_j,
         );
         assert!(
             (whole - halves).abs() <= 1e-9 * (1.0 + whole.abs()),
@@ -368,9 +368,9 @@ fn energy_accounting_splits_and_samples_within_bounds() {
         let dur = range(&mut r, 0.05, 20.0);
         let mut t = PowerTrace::default();
         t.push(interval(start, start + dur, ActivityKind::Compute, 0));
-        let exact = t.exact_energy(&power, 1, 1).total_j;
+        let exact = t.exact_energy(&power, None, 1, 1).total_j;
         let sampled = IpmiSampler { period_s: 1.0 }
-            .measure(&t, &power, 1, 1)
+            .measure(&t, &power, None, 1, 1)
             .total_j;
         let bound = power.peak_w + 1e-6;
         assert!(

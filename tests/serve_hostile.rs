@@ -232,3 +232,27 @@ fn allow_shed_flag_separates_backpressure_from_failure() {
         "--verify must cover the served remainder:\n{stderr}"
     );
 }
+
+/// A misspelled flag is a usage error (exit 2) naming the flag, not a
+/// silent fall-back to the default (`gen --requsts 3` must not print 100
+/// requests). `optipart-cli` shares the parser.
+#[test]
+fn misspelled_flag_is_a_usage_error() {
+    for (bin, args, flag) in [
+        (BIN, ["gen", "--requsts", "3"], "--requsts"),
+        (
+            env!("CARGO_BIN_EXE_optipart-cli"),
+            ["gen", "--pionts", "3"],
+            "--pionts",
+        ),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} produced output anyway");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{bin}: {stderr}"
+        );
+    }
+}

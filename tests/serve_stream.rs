@@ -3,7 +3,7 @@
 //! deadline budgets laced in — served by a 4-worker pool, then verified
 //! response-by-response against direct library calls (bit-identical
 //! payloads, exact replay commands on sheds, self-consistent deadline
-//! flags). This is the end-to-end contract DESIGN.md §15 promises.
+//! flags). This is the end-to-end contract DESIGN.md (*serve*) promises.
 
 use optipart::serve::chaos::{chaos_soak, ChaosKnobs};
 use optipart::serve::soak::{mixed_stream, verify_responses, DirectCache};
