@@ -38,7 +38,7 @@ use crate::partition::{
 use crate::quality::{partition_quality, Quality};
 use crate::treesort::bucket_populations;
 use optipart_mpisim::rng::mix;
-use optipart_mpisim::{AllToAllAlgo, DistVec, Engine};
+use optipart_mpisim::{AllToAllAlgo, DistVec, Engine, Wire};
 use optipart_sfc::{Curve, KeyedCell, SfcKey, MAX_DEPTH};
 
 /// Options for OptiPart.
@@ -286,7 +286,7 @@ fn mesh_signature<const D: usize>(
     engine: &mut Engine,
     dist: &mut DistVec<KeyedCell<D>>,
 ) -> (u64, u64) {
-    let elem_bytes = std::mem::size_of::<KeyedCell<D>>() as f64;
+    let elem_bytes = KeyedCell::<D>::BYTES as f64;
     let local: Vec<(u64, u64)> = engine.compute_map(dist, |_r, buf| {
         let mut sig = 0u64;
         for kc in buf.iter() {
@@ -508,19 +508,23 @@ impl PartitionState {
         self.entries.is_empty()
     }
 
-    /// Approximate in-memory footprint, for checkpoint byte accounting.
+    /// Modelled footprint, for checkpoint byte accounting: a declared
+    /// header per state and per entry, plus every splitter and every cached
+    /// `(path, level, count)` leaf at its declared size.
     pub fn footprint_bytes(&self) -> u64 {
+        const STATE_BYTES: u64 = 72;
+        const ENTRY_BYTES: u64 = 136;
+        const LEAF_BYTES: u64 = 32;
         let per_entry: u64 = self
             .entries
             .iter()
             .map(|e| {
-                (std::mem::size_of::<StateEntry>()
-                    + e.splitters.len() * std::mem::size_of::<SfcKey>()
-                    + e.leaves.len() * std::mem::size_of::<(u128, u8, u64)>())
-                    as u64
+                ENTRY_BYTES
+                    + e.splitters.len() as u64 * SfcKey::BYTES
+                    + e.leaves.len() as u64 * LEAF_BYTES
             })
             .sum();
-        std::mem::size_of::<Self>() as u64 + per_entry
+        STATE_BYTES + per_entry
     }
 
     /// Test hook: silently corrupt the most recent entry **without**
@@ -584,7 +588,7 @@ fn recount_table<const D: usize>(
     prev: &[(u128, u8, u64)],
 ) -> (CountTable, usize) {
     let ranges: Vec<(u128, u8)> = prev.iter().map(|&(path, level, _)| (path, level)).collect();
-    let elem_bytes = std::mem::size_of::<KeyedCell<D>>() as f64;
+    let elem_bytes = KeyedCell::<D>::BYTES as f64;
     let local: Vec<Vec<u64>> = engine.compute_map(dist, |_r, buf| {
         (
             buf.len() as f64 * elem_bytes,

@@ -13,7 +13,7 @@
 
 use crate::treesort::treesort;
 use optipart_mpisim::rng::SplitMix64;
-use optipart_mpisim::{AllToAllAlgo, DistVec, Engine};
+use optipart_mpisim::{AllToAllAlgo, DistVec, Engine, Wire};
 use optipart_octree::LinearTree;
 use optipart_sfc::{KeyedCell, SfcKey, MAX_DEPTH};
 
@@ -578,7 +578,7 @@ impl SplitterSearch {
         );
         let mut global = Vec::new();
         if !bounds.is_empty() {
-            let elem_bytes = std::mem::size_of::<KeyedCell<D>>() as f64;
+            let elem_bytes = KeyedCell::<D>::BYTES as f64;
             let local_counts: Vec<Vec<u64>> = engine.compute_map(dist, |_r, buf| {
                 // One pass over the local data (the tc·N/p term of Eq. 1).
                 (
@@ -758,7 +758,7 @@ pub(crate) fn exchange_and_sort<const D: usize>(
     });
     let mut out = DistVec::from_parts(recv);
     engine.phase(PHASE_LOCAL_SORT, |e| {
-        let elem = std::mem::size_of::<KeyedCell<D>>() as f64;
+        let elem = KeyedCell::<D>::BYTES as f64;
         e.compute(&mut out, |_r, buf| {
             treesort(buf);
             // MSD radix touches each element once per refined level; charge

@@ -12,7 +12,7 @@
 //! count is the communication-volume proxy the performance model consumes.
 
 use crate::partition::owner_of;
-use optipart_mpisim::{DistVec, Engine};
+use optipart_mpisim::{DistVec, Engine, Wire};
 use optipart_sfc::{Curve, KeyedCell, SfcKey};
 
 /// Result of a quality evaluation.
@@ -72,7 +72,7 @@ pub fn partition_quality<const D: usize>(
 ) -> Quality {
     let p = engine.p();
     assert_eq!(splitters.len(), p - 1, "need p-1 splitters");
-    let elem_bytes = std::mem::size_of::<KeyedCell<D>>() as f64;
+    let elem_bytes = KeyedCell::<D>::BYTES as f64;
     // Partition → node placement mirrors the engine's rank placement. The
     // intra split is computed unconditionally (and reduced in the same
     // concatenated collective) so a flat machine and a degenerate hierarchy
@@ -85,9 +85,12 @@ pub fn partition_quality<const D: usize>(
         // bdy packs [bdy_total ++ bdy_intra], length 2p.
         let mut bdy = vec![0u64; 2 * p];
         let mut sz = vec![0u64; p];
-        // Locally observed neighbour-partition sets, as flat bitsets only
-        // for the partitions this rank holds elements of (cheap: a rank's
-        // block maps to a handful of partitions).
+        // Foreign partitions touched by this rank's elements: a hash map
+        // from each partition the rank holds elements of (a handful — a
+        // block maps to few partitions) to the hash set of neighbour
+        // partitions seen from those elements. A partition whose elements
+        // span several ranks has its set split across them, and only set
+        // sizes are reduced (by max, below), so `Mmax` is approximate.
         let mut nbr_sets: std::collections::HashMap<usize, std::collections::HashSet<usize>> =
             std::collections::HashMap::new();
         for kc in buf.iter() {

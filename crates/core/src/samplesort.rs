@@ -16,7 +16,7 @@ use crate::partition::{
     owner_of, PartitionOutcome, PartitionReport, SearchSummary, PHASE_ALL2ALL, PHASE_LOCAL_SORT,
     PHASE_SPLITTER,
 };
-use optipart_mpisim::{AllToAllAlgo, DistVec, Engine};
+use optipart_mpisim::{AllToAllAlgo, DistVec, Engine, Wire};
 use optipart_sfc::{KeyedCell, SfcKey};
 
 /// Options for the SampleSort baseline.
@@ -45,7 +45,7 @@ pub fn samplesort_partition<const D: usize>(
     opts: SampleSortOptions,
 ) -> PartitionOutcome<D> {
     let p = engine.p();
-    let elem_bytes = std::mem::size_of::<KeyedCell<D>>() as f64;
+    let elem_bytes = KeyedCell::<D>::BYTES as f64;
     let s = opts.samples_per_rank.unwrap_or((p - 1).max(1)).max(1);
 
     // Local comparison sort (n log n memory traffic).

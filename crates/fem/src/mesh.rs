@@ -21,7 +21,8 @@
 //! zero Dirichlet conditions and making the operator symmetric positive
 //! definite.
 
-use optipart_mpisim::{par, AllToAllAlgo, AlltoallvArena, DistVec, Engine};
+use optipart_core::partition::owner_of;
+use optipart_mpisim::{par, AllToAllAlgo, AlltoallvArena, DistVec, Engine, Wire};
 use optipart_octree::neighbors::overlapping_leaves_keyed;
 use optipart_sfc::{Cell, Curve, KeyedCell, SfcKey, MAX_DEPTH};
 
@@ -74,12 +75,22 @@ struct Probe<const D: usize> {
     src_cell: u32,
 }
 
+/// Four bytes per coordinate plus the source cell index.
+impl<const D: usize> Wire for Probe<D> {
+    const BYTES: u64 = 4 * (D as u64 + 1);
+}
+
 /// A resolved probe: the owner's leaf covering the point.
 #[derive(Clone, Copy, Debug)]
 struct Resolved<const D: usize> {
     src_cell: u32,
     leaf_idx: u32,
     leaf: Cell<D>,
+}
+
+/// Two indices plus a cell: `D` coordinates and a level padded to a word.
+impl<const D: usize> Wire for Resolved<D> {
+    const BYTES: u64 = 4 * (D as u64 + 3);
 }
 
 impl<const D: usize> DistMesh<D> {
@@ -142,7 +153,7 @@ impl<const D: usize> DistMesh<D> {
         // ---- Phase 1: local adjacency + probe generation ----------------
         // Per rank: the local mesh, its probes sorted by owner (cell order
         // kept within an owner) and the `(owner, count)` runs of that order.
-        let elem_bytes = std::mem::size_of::<KeyedCell<D>>() as f64;
+        let elem_bytes = KeyedCell::<D>::BYTES as f64;
         let sp = &splitters;
         #[allow(clippy::type_complexity)]
         let phase1: Vec<(LocalMesh, Vec<Probe<D>>, Vec<(u32, u32)>)> =
@@ -343,12 +354,6 @@ impl<const D: usize> DistMesh<D> {
             locals,
         }
     }
-}
-
-/// Owner rank of a key under the splitters.
-#[inline]
-pub(crate) fn owner_of(splitters: &[SfcKey], key: &SfcKey) -> usize {
-    splitters.partition_point(|s| s <= key)
 }
 
 /// Face-flux transmissibility between two face-adjacent cells, in unit-cube

@@ -17,6 +17,7 @@
 
 use crate::dist::DistVec;
 use crate::engine::Engine;
+use crate::wire::Wire;
 
 /// Application state that can be snapshotted for fail-stop recovery.
 ///
@@ -65,10 +66,9 @@ impl<T: Clone> Checkpoint for Replicated<T> {
     }
 }
 
-impl<T: Clone> Checkpoint for DistVec<T> {
+impl<T: Clone + Wire> Checkpoint for DistVec<T> {
     fn bytes_per_rank(&self) -> Vec<u64> {
-        let elem = std::mem::size_of::<T>() as u64;
-        self.counts().iter().map(|&n| n as u64 * elem).collect()
+        self.counts().iter().map(|&n| n as u64 * T::BYTES).collect()
     }
 
     fn snapshot(&self) -> Self {

@@ -24,6 +24,7 @@
 
 use crate::engine::Engine;
 use crate::faults::FaultPlan;
+use crate::wire::Wire;
 
 /// All-to-all scheduling algorithm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -649,9 +650,9 @@ impl Engine {
     /// `MPI_Allgather`: every rank contributes a small buffer; all ranks
     /// receive the concatenation (rank order). Recursive-doubling cost:
     /// `log p · ts + tw · total_bytes`.
-    pub fn allgather<T: Clone>(&mut self, contribs: &[Vec<T>]) -> Vec<T> {
+    pub fn allgather<T: Clone + Wire>(&mut self, contribs: &[Vec<T>]) -> Vec<T> {
         assert_eq!(contribs.len(), self.p);
-        let elem = std::mem::size_of::<T>() as u64;
+        let elem = T::BYTES;
         let total: u64 = contribs.iter().map(|c| c.len() as u64 * elem).sum();
         let t0 = self.sync_start("allgather");
         let ts = self.perf.machine.ts;
@@ -682,7 +683,7 @@ impl Engine {
     /// the `reference` feature — production code stages O(active routes),
     /// never O(p²).
     #[cfg(any(test, feature = "reference"))]
-    pub fn alltoallv<T: Send>(
+    pub fn alltoallv<T: Send + Wire>(
         &mut self,
         send: Vec<Vec<Vec<T>>>,
         algo: AllToAllAlgo,
@@ -690,7 +691,7 @@ impl Engine {
         let p = self.p;
         assert_eq!(send.len(), p, "send must have one row per rank");
         assert!(send.iter().all(|row| row.len() == p), "ragged send rows");
-        let elem = std::mem::size_of::<T>() as u64;
+        let elem = T::BYTES;
 
         // Traffic accounting and clock charges (+ fault retries), via the
         // walked reference staging.
@@ -774,13 +775,13 @@ impl Engine {
     /// other all-to-all entry points; in the steady state the exchange
     /// itself allocates nothing (all staging lives in the arena and the
     /// engine's pooled scratch).
-    pub fn alltoallv_flat<T: Copy + Send>(
+    pub fn alltoallv_flat<T: Copy + Send + Wire>(
         &mut self,
         arena: &mut AlltoallvArena<T>,
         algo: AllToAllAlgo,
     ) {
         let p = self.p;
-        let elem = std::mem::size_of::<T>() as u64;
+        let elem = T::BYTES;
         let mut s = self.begin_alltoall();
         for seg in &arena.segs {
             let (src, dst) = (seg.src as usize, seg.dst as usize);
@@ -836,7 +837,7 @@ impl Engine {
     /// routed by a destination function. Returns one delivered buffer per
     /// rank: elements from source ranks in ascending order, each source's
     /// elements in their original order.
-    pub fn alltoallv_by<T: Send, F: Fn(usize, &T) -> usize>(
+    pub fn alltoallv_by<T: Send + Wire, F: Fn(usize, &T) -> usize>(
         &mut self,
         send: Vec<Vec<T>>,
         dest: F,
@@ -844,7 +845,7 @@ impl Engine {
     ) -> Vec<Vec<T>> {
         let p = self.p;
         assert_eq!(send.len(), p, "send must have one row per rank");
-        let elem = std::mem::size_of::<T>() as u64;
+        let elem = T::BYTES;
         let mut s = self.begin_alltoall();
         s.by_dests.clear();
         s.by_dests.reserve(send.iter().map(Vec::len).sum());

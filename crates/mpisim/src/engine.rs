@@ -7,8 +7,8 @@ use crate::stats::{CommMatrix, RunStats};
 use optipart_machine::energy::{ActivityKind, Interval, COMM_CORE_FRACTION};
 use optipart_machine::{EnergyReport, PerfModel, PowerTrace};
 use optipart_trace::{
-    chrome_trace_json, critical_path, model_attribution, profile, CriticalPath, ModelAttribution,
-    ModelParams, Profile, Tracer,
+    chrome_trace_json, critical_path, model_attribution, CriticalPath, ModelAttribution,
+    ModelParams, Tracer,
 };
 
 /// A virtual distributed machine running `p` SPMD ranks.
@@ -314,11 +314,6 @@ impl Engine {
     /// [`Engine::with_tracing`]).
     pub fn model_attribution(&self) -> ModelAttribution {
         model_attribution(&self.tracer, ModelParams::from_perf(&self.perf, self.p))
-    }
-
-    /// Builds the aggregate per-phase/per-rank profile for this run.
-    pub fn profile(&self) -> Profile {
-        profile(&self.tracer, &self.track_clocks())
     }
 
     /// Resets clocks, stats, energy and matrices, keeping the configuration

@@ -26,6 +26,8 @@
 //!   arrival (`max` of clocks), pays the collective's cost, and leaves with
 //!   a common (or per-rank, for `alltoallv`) completion time. Waiting time
 //!   is the load-imbalance penalty — it costs wall-clock *and* idle energy.
+//! * Bytes are declared, not measured: an element of type `T` costs
+//!   [`Wire::BYTES`] wherever it is charged, whatever its host layout.
 //!
 //! ## What is recorded
 //!
@@ -78,6 +80,7 @@ pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod threaded;
+mod wire;
 
 pub use checkpoint::{
     Checkpoint, CheckpointPolicy, CheckpointStats, CheckpointStore, Replicated, Snapshot,
@@ -86,5 +89,6 @@ pub use collectives::{AllToAllAlgo, AlltoallvArena};
 pub use dist::DistVec;
 pub use engine::Engine;
 pub use faults::{catch_rank_death, survive_rank_death, FaultPlan, RankDeath, RankFaults};
-pub use optipart_trace::{CriticalPath, ModelAttribution, PathKind, Profile, Tracer};
+pub use optipart_trace::{CriticalPath, ModelAttribution, PathKind, Tracer};
 pub use stats::{CommMatrix, RunStats};
+pub use wire::Wire;

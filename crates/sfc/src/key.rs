@@ -32,19 +32,18 @@ impl std::fmt::Display for Curve {
     }
 }
 
-/// Position of a cell on a space-filling curve.
+/// Position of a cell on a space-filling curve, packed into one word
+/// `(path << 8) | level`.
 ///
-/// `path` stores `MAX_DEPTH` digits of `D` bits each, most significant digit
-/// (coarsest split) first; digits at or below the cell's `level` are zero.
-/// The derived lexicographic order `(path, level)` realises the standard
-/// *ancestor-before-descendant* ordering of linear octrees: an ancestor's
-/// zero-padded path is `<=` every descendant path, and the `level` tie-break
-/// puts the ancestor first.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SfcKey {
-    path: u128,
-    level: u8,
-}
+/// `path` stores `MAX_DEPTH` digits of `D` bits each (at most 90 bits), most
+/// significant digit (coarsest split) first; digits at or below the cell's
+/// `level` are zero. With the path above the level, the word's derived
+/// order is the lexicographic order `(path, level)`, which realises the
+/// standard *ancestor-before-descendant* ordering of linear octrees: an
+/// ancestor's zero-padded path is `<=` every descendant path, and the
+/// `level` tie-break puts the ancestor first.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct SfcKey(u128);
 
 impl SfcKey {
     /// Key of `cell` on `curve`.
@@ -71,32 +70,26 @@ impl SfcKey {
             Curve::Morton => morton::interleave(cell.anchor()),
             Curve::Hilbert => hilbert::hilbert_path(cell.anchor()),
         };
-        SfcKey {
-            path: mask_below_level::<D>(full, cell.level()),
-            level: cell.level(),
-        }
+        SfcKey::from_parts(mask_below_level::<D>(full, cell.level()), cell.level())
     }
 
     /// The smallest possible key (root's position).
-    pub const MIN: SfcKey = SfcKey { path: 0, level: 0 };
+    pub const MIN: SfcKey = SfcKey(0);
 
     /// A key strictly greater than every cell key (used as a sentinel
-    /// splitter for the last partition).
-    pub const MAX: SfcKey = SfcKey {
-        path: u128::MAX,
-        level: u8::MAX,
-    };
+    /// splitter for the last partition): path `2^120 − 1`, level 255.
+    pub const MAX: SfcKey = SfcKey(u128::MAX);
 
     /// The raw digit path.
     #[inline]
     pub fn path(&self) -> u128 {
-        self.path
+        self.0 >> 8
     }
 
     /// The cell level this key was built from.
     #[inline]
     pub fn level(&self) -> u8 {
-        self.level
+        self.0 as u8
     }
 
     /// Digit (curve-order child rank) at split level `k`, i.e. which child of
@@ -106,18 +99,15 @@ impl SfcKey {
     #[inline]
     pub fn digit<const D: usize>(&self, k: u8) -> usize {
         debug_assert!(k < MAX_DEPTH);
-        ((self.path >> ((MAX_DEPTH - 1 - k) as u32 * D as u32)) & ((1 << D) - 1)) as usize
+        ((self.path() >> ((MAX_DEPTH - 1 - k) as u32 * D as u32)) & ((1 << D) - 1)) as usize
     }
 
     /// The key truncated to the first `level` digits (its ancestor's key on
     /// the same curve).
     #[inline]
     pub fn prefix<const D: usize>(&self, level: u8) -> SfcKey {
-        let l = level.min(self.level);
-        SfcKey {
-            path: mask_below_level::<D>(self.path, l),
-            level: l,
-        }
+        let l = level.min(self.level());
+        SfcKey::from_parts(mask_below_level::<D>(self.path(), l), l)
     }
 
     /// Reconstructs the cell this key addresses.
@@ -127,16 +117,18 @@ impl SfcKey {
     /// ancestor at `level` recovers the cell for either curve.
     pub fn to_cell<const D: usize>(&self, curve: Curve) -> Cell<D> {
         let point = match curve {
-            Curve::Morton => morton::deinterleave::<D>(self.path),
-            Curve::Hilbert => hilbert::hilbert_point::<D>(self.path),
+            Curve::Morton => morton::deinterleave::<D>(self.path()),
+            Curve::Hilbert => hilbert::hilbert_point::<D>(self.path()),
         };
-        Cell::new(point, MAX_DEPTH).ancestor_at(self.level)
+        Cell::new(point, MAX_DEPTH).ancestor_at(self.level())
     }
 
-    /// Builds a key directly from raw parts (for splitters).
+    /// Builds a key directly from raw parts (for splitters). `path` must fit
+    /// in 120 bits.
     #[inline]
     pub fn from_parts(path: u128, level: u8) -> SfcKey {
-        SfcKey { path, level }
+        debug_assert!(path >> 120 == 0, "path {path:#x} exceeds 120 bits");
+        SfcKey(path << 8 | level as u128)
     }
 }
 
@@ -151,7 +143,7 @@ fn mask_below_level<const D: usize>(path: u128, level: u8) -> u128 {
 
 impl std::fmt::Debug for SfcKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SfcKey(l={}, path={:#x})", self.level, self.path)
+        write!(f, "SfcKey(l={}, path={:#x})", self.level(), self.path())
     }
 }
 

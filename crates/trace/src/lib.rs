@@ -41,11 +41,9 @@ mod attrib;
 mod critical;
 mod export;
 pub mod json;
-mod profile;
 mod tracer;
 
 pub use attrib::{model_attribution, ModelAttribution, ModelParams, PhaseAttribution};
 pub use critical::{critical_path, CriticalPath, PathItem, PathKind};
 pub use export::{chrome_trace_digest, chrome_trace_json, fnv1a};
-pub use profile::{profile, PhaseProfile, Profile};
 pub use tracer::{Decision, Mark, PhaseSpan, Span, SpanKind, SyncPoint, Tracer, ROOT_PHASE};

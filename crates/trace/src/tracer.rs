@@ -87,8 +87,7 @@ pub struct Decision {
 }
 
 /// Per-(phase, rank) activity totals — the raw material of model
-/// attribution and imbalance profiles. Only accumulated when spans are
-/// enabled.
+/// attribution. Only accumulated when spans are enabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseRankStats {
     /// Seconds of compute charged to the rank inside the phase.
@@ -251,17 +250,6 @@ impl Tracer {
         self.ids
             .get(phase)
             .map_or(0, |&id| self.totals[id as usize].1)
-    }
-
-    /// All phases that accumulated time or bytes, in first-use order:
-    /// `(name, seconds, bytes)`.
-    pub fn phase_totals(&self) -> Vec<(&str, f64, u64)> {
-        self.names
-            .iter()
-            .zip(&self.totals)
-            .filter(|(n, &(t, b))| !n.is_empty() && (t > 0.0 || b > 0))
-            .map(|(n, &(t, b))| (n.as_str(), t, b))
-            .collect()
     }
 
     // ---- spans and events -----------------------------------------------

@@ -158,6 +158,59 @@ fn disjoint_cells_order_like_their_points() {
     }
 }
 
+/// A key packs `(path, level)` into one word without changing its meaning:
+/// the word order is the lexicographic `(path, level)` order, both parts
+/// round-trip, and `digit`/`prefix` agree with an unpacked reference — at
+/// every level, in 2D and 3D, and for the `MIN`/`MAX` sentinels.
+#[test]
+fn packed_keys_keep_the_path_level_order() {
+    // The unpacked reference: digit `k` and the level-`l` prefix of a path.
+    fn digit<const D: usize>(path: u128, k: u8) -> usize {
+        ((path >> ((MAX_DEPTH - 1 - k) as u32 * D as u32)) & ((1 << D) - 1)) as usize
+    }
+    fn prefix<const D: usize>((path, level): (u128, u8), l: u8) -> (u128, u8) {
+        let l = l.min(level);
+        let low = (MAX_DEPTH - l) as u32 * D as u32;
+        (path >> low << low, l)
+    }
+    fn check<const D: usize>(case: u64, r: &mut SplitMix64) {
+        let bits = MAX_DEPTH as u32 * D as u32;
+        for l in 0..=MAX_DEPTH {
+            let full = ((r.next_u64() as u128) << 64 | r.next_u64() as u128) & ((1 << bits) - 1);
+            let a = prefix::<D>((full, MAX_DEPTH), l);
+            let b = prefix::<D>((full, MAX_DEPTH), level(r));
+            let pairs = [a, b, (a.0, level(r)), (0, 0), (u128::MAX >> 8, u8::MAX)];
+            for x in pairs {
+                let k = SfcKey::from_parts(x.0, x.1);
+                let ctx = format!("case {case} D={D} l={l} {x:?}");
+                assert_eq!((k.path(), k.level()), x, "{ctx}");
+                for j in 0..MAX_DEPTH {
+                    assert_eq!(k.digit::<D>(j), digit::<D>(x.0, j), "{ctx} digit {j}");
+                    let (pp, pl) = prefix::<D>(x, j);
+                    assert_eq!(
+                        k.prefix::<D>(j),
+                        SfcKey::from_parts(pp, pl),
+                        "{ctx} prefix {j}"
+                    );
+                }
+                for y in pairs {
+                    assert_eq!(
+                        k.cmp(&SfcKey::from_parts(y.0, y.1)),
+                        x.cmp(&y),
+                        "{ctx} vs {y:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(SfcKey::from_parts(0, 0), SfcKey::MIN);
+    assert_eq!(SfcKey::from_parts(u128::MAX >> 8, u8::MAX), SfcKey::MAX);
+    for (case, mut r) in cases(6, 64) {
+        check::<2>(case, &mut r);
+        check::<3>(case, &mut r);
+    }
+}
+
 /// Face sharing is symmetric, excludes overlap, and its area is bounded by
 /// the smaller cell's face. Half the pairs are built as genuine face
 /// neighbours — two uniform draws almost never touch.

@@ -15,7 +15,7 @@ use optipart::machine::{AppModel, MachineModel, PerfModel};
 use optipart::mpisim::{CheckpointPolicy, Engine, FaultPlan, RunStats};
 use optipart::octree::{balance::balance21, LinearTree, MeshParams};
 use optipart::sfc::{Curve, SfcKey};
-use optipart::trace::chrome_trace_digest;
+use optipart::trace::{chrome_trace_digest, fnv1a};
 
 fn engine(p: usize) -> Engine {
     Engine::new(
@@ -134,6 +134,28 @@ fn fault_free_matvec_driver_is_the_ft_driver_with_checkpointing_off() {
     assert_eq!(plain.retries, ef.stats().retries_total);
     assert_eq!(plain.rank_clocks, ef.clocks());
     assert_eq!(engine_footprint(&ep), engine_footprint(&ef));
+}
+
+#[test]
+fn checkpointed_amr_run_is_pinned() {
+    // A checkpoint mirrors octants, the solution vector and the warm-start
+    // cache at their declared sizes; no other pin sees the cache's
+    // footprint. Pinned: the bytes saved and a digest of the engine.
+    let cfg = AmrConfig {
+        steps: 4,
+        max_level: 4,
+        matvecs_per_step: 3,
+        ..Default::default()
+    };
+    let mut e = engine(8).with_tracing();
+    let rep = amr_simulation_ft(&mut e, &cfg, CheckpointPolicy::EveryStep);
+    assert_eq!(rep.checkpoint.saves, 4);
+    let digest = fnv1a(format!("{:?}", engine_footprint(&e)).as_bytes());
+    assert_eq!(
+        (e.stats().checkpoint_bytes, digest),
+        (500_480, 0xa3a1_f7fb_9595_ad38),
+        "footprint moved (got {digest:#018x})"
+    );
 }
 
 #[test]
