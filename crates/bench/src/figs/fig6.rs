@@ -12,7 +12,7 @@ use optipart_core::optipart::{optipart, OptiPartOptions};
 use optipart_core::partition::{
     distribute_shuffled, PHASE_ALL2ALL, PHASE_LOCAL_SORT, PHASE_SPLITTER,
 };
-use optipart_core::samplesort::{samplesort_partition, SampleSortOptions};
+use optipart_core::samplesort::samplesort_partition;
 use optipart_machine::MachineModel;
 use optipart_sfc::Curve;
 
@@ -58,11 +58,7 @@ pub fn run(cfg: &RunConfig) {
             // Dendro-style Morton + SampleSort.
             {
                 let mut e = engine(machine.clone(), p);
-                let _ = samplesort_partition(
-                    &mut e,
-                    distribute_shuffled(&tree, p, cfg.seed),
-                    SampleSortOptions::default(),
-                );
+                let _ = samplesort_partition(&mut e, distribute_shuffled(&tree, p, cfg.seed));
                 table.row(vec![
                     machine.name.clone(),
                     "samplesort".into(),

@@ -76,7 +76,6 @@ pub fn measure(n: usize, p: usize, ranks_per_node: usize, seed: u64) -> HierPoin
         distribution: Distribution::LogNormal,
         num_points: n,
         seed,
-        ..Default::default()
     }
     .build::<3>(Curve::Hilbert);
     let opts = OptiPartOptions::default();

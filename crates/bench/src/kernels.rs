@@ -17,8 +17,8 @@
 use optipart_core::optipart::{optipart, OptiPartOptions, PartitionState};
 use optipart_core::partition::{distribute_tree, treesort_partition, PartitionOptions};
 use optipart_core::quality::partition_quality;
-use optipart_core::samplesort::{samplesort_partition, SampleSortOptions};
-use optipart_core::treesort::{treesort, treesort_reference, treesort_scoped, LevelOffsets};
+use optipart_core::samplesort::samplesort_partition;
+use optipart_core::treesort::{treesort_reference, treesort_scoped};
 use optipart_fem::amr::{step_mesh, AmrConfig};
 use optipart_fem::{laplacian_matvec, repartition_sequence, DistMesh};
 use optipart_machine::{AppModel, MachineModel, PerfModel};
@@ -148,30 +148,6 @@ pub fn registry() -> Vec<Kernel> {
                         a.copy_from_slice(&input);
                         a.sort_unstable();
                         checksum_cells(&a)
-                    }),
-                }
-            },
-        },
-        Kernel {
-            name: "level_offsets",
-            group: "treesort",
-            full_n: 100_000,
-            tiny_n: 3_000,
-            build: |n| {
-                let mut sorted = shuffled(n, Curve::Hilbert);
-                treesort(&mut sorted);
-                let elements = sorted.len() as u64;
-                Prepared {
-                    elements,
-                    run: Box::new(move || {
-                        let table = LevelOffsets::build(&sorted, 8);
-                        let mut acc = 0u64;
-                        for level in 0..=8u8 {
-                            let t = table.at(level);
-                            acc = mix(acc, t.len() as u64);
-                            acc = mix(acc, t.last().copied().unwrap_or(0) as u64);
-                        }
-                        acc
                     }),
                 }
             },
@@ -634,11 +610,7 @@ fn partition_kernel(n: usize, kind: PartitionKind) -> Prepared {
                     (out.splitters, out.dist.total_len())
                 }
                 PartitionKind::SampleSort => {
-                    let out = samplesort_partition(
-                        &mut e,
-                        distribute_tree(&tree, p),
-                        SampleSortOptions::default(),
-                    );
+                    let out = samplesort_partition(&mut e, distribute_tree(&tree, p));
                     (out.splitters, out.dist.total_len())
                 }
             };

@@ -10,8 +10,8 @@
 //!   selection (Eq. 2), followed by the staged all-to-all exchange and a
 //!   local TreeSort.
 //! * [`quality`] — **Algorithm 2** (`PartitionQuality`): estimates a
-//!   candidate partition's `Wmax` and `Cmax` with one linear pass plus two
-//!   max-reductions, and predicts its runtime via Eq. (3).
+//!   candidate partition's `Wmax` and `Cmax` with one linear pass plus three
+//!   vector all-reduces, and predicts its runtime via Eq. (3).
 //! * [`optipart()`] — **Algorithm 3** (`OptiPart`): distributed TreeSort that
 //!   refines only while the predicted runtime of the *next* refinement
 //!   improves — discovering the optimal tolerance automatically for the
@@ -40,4 +40,4 @@ pub use partition::{
     PartitionOptions, PartitionOutcome, PartitionReport,
 };
 pub use quality::partition_quality;
-pub use samplesort::{samplesort_partition, SampleSortOptions};
+pub use samplesort::samplesort_partition;

@@ -22,11 +22,11 @@
 //!   the cached splitters drive the (always live) exchange;
 //! * **replay** — same configuration, changed mesh: the ladder re-runs, but
 //!   child-count queries are served from a `CountTable` built by recounting
-//!   the previous run's bucket tiling on the *current* mesh (via
-//!   [`crate::treesort::bucket_populations`]' `LevelOffsets` jump tables),
-//!   so only buckets under the moved front pay live count passes. Identical
-//!   counts imply identical ladder decisions, so the result is bit-identical
-//!   to a cold run;
+//!   the previous run's bucket tiling on the *current* mesh (each element
+//!   placed by [`crate::treesort::bucket_populations`]), so only buckets
+//!   under the moved front pay live count passes. Identical counts imply
+//!   identical ladder decisions, so the result is bit-identical to a cold
+//!   run;
 //! * **cold** — no usable entry, a failed payload self-check, or a rank
 //!   count changed by shrink recovery: the stale state is dropped and the
 //!   cold path runs, byte-for-byte the same as [`optipart`].
@@ -39,9 +39,10 @@ use crate::quality::{partition_quality, Quality};
 use crate::treesort::bucket_populations;
 use optipart_mpisim::rng::mix;
 use optipart_mpisim::{AllToAllAlgo, DistVec, Engine, Wire};
-use optipart_sfc::{Curve, KeyedCell, SfcKey, MAX_DEPTH};
+use optipart_sfc::{Curve, KeyedCell, SfcKey};
 
-/// Options for OptiPart.
+/// Options for OptiPart. The exchange is always the hypercube all-to-all
+/// and refinement may reach [`optipart_sfc::MAX_DEPTH`].
 #[derive(Clone, Copy, Debug)]
 pub struct OptiPartOptions {
     /// Curve the elements were keyed with (needed to key neighbour probes in
@@ -49,10 +50,6 @@ pub struct OptiPartOptions {
     pub curve: Curve,
     /// Staged splitter selection cap (Eq. 2's `k`); `None` = unlimited.
     pub max_split_per_round: Option<usize>,
-    /// All-to-all schedule for the final exchange.
-    pub alltoall: AllToAllAlgo,
-    /// Refinement depth cap.
-    pub max_level: u8,
     /// Ceiling on the accepted load tolerance: refinement continues (even
     /// against the model's advice) while any target is farther than this
     /// from its boundary. The paper's sweeps stop at 0.7; so do we.
@@ -61,23 +58,11 @@ pub struct OptiPartOptions {
     /// ([`Quality::tp_with_latency`]) — the model refinement the paper's
     /// future work proposes. Off by default (paper-faithful Eq. 3).
     pub latency_aware: bool,
-    /// Tolerance-ladder rungs allowed past the last improvement before
-    /// stopping (plateau robustness for the greedy stopping rule).
-    pub patience: usize,
-    /// Amortise the *measured* cost of the tolerance search over this many
-    /// application iterations: a finer candidate is accepted only if its
-    /// nominal Eq. (3) gain, multiplied by the iteration count, exceeds the
-    /// virtual time actually spent searching for it (refinement rounds +
-    /// quality evaluations) since the last accepted candidate.
-    ///
-    /// Measured cost is read off the engine's virtual clocks, so injected
-    /// faults participate: on a machine with stragglers the search phases
-    /// genuinely cost more, and OptiPart correctly settles for a coarser
-    /// (or equal) tolerance instead of chasing refinements whose search
-    /// cost the perturbed machine can no longer recoup. `None` (default)
-    /// reproduces the paper's model-only stopping rule.
-    pub amortize_over: Option<usize>,
 }
+
+/// Tolerance-ladder rungs allowed past the last improvement before the
+/// ladder stops (plateau robustness for the greedy stopping rule).
+pub const PATIENCE: usize = 3;
 
 /// Step between rungs of the flexible-tolerance ladder Algorithm 3
 /// descends — the resolution of the paper's Fig. 10 tolerance axis.
@@ -88,12 +73,8 @@ impl Default for OptiPartOptions {
         OptiPartOptions {
             curve: Curve::Hilbert,
             max_split_per_round: None,
-            alltoall: AllToAllAlgo::Hypercube,
-            max_level: MAX_DEPTH,
             max_tolerance: 0.7,
             latency_aware: false,
-            patience: 3,
-            amortize_over: None,
         }
     }
 }
@@ -174,14 +155,14 @@ fn optipart_run<const D: usize>(
         // — the trajectory therefore visits every partition a brute-force
         // tolerance sweep would score, coarse ones included, instead of
         // leaping from one bucket level to the next. Descent
-        // stops once `patience` consecutive rungs failed to improve the
+        // stops once `PATIENCE` consecutive rungs failed to improve the
         // prediction — a robust version of Algorithm 3's "proceed while
         // `default ≥ current`" that does not get stuck on model plateaus.
         let mut best: Option<(Vec<optipart_sfc::SfcKey>, f64, Quality)> = None;
         let mut worse = 0usize;
         // Measured virtual time spent searching (refinement + quality
-        // evaluations) since the last accepted candidate — what the
-        // `amortize_over` acceptance rule weighs the nominal gain against.
+        // evaluations) since the last accepted candidate, reported on each
+        // `optipart.probe` event; it never steers a decision.
         let mut pending_cost = 0.0f64;
         let mut rung = opts.max_tolerance.max(0.0);
         loop {
@@ -190,8 +171,7 @@ fn optipart_run<const D: usize>(
             let rung_opts = PartitionOptions {
                 tolerance: rung,
                 max_split_per_round: opts.max_split_per_round,
-                alltoall: opts.alltoall,
-                max_level: opts.max_level,
+                ..Default::default()
             };
             search.refine_to(engine, &mut dist, &rung_opts, table, &mut pending_cost);
             let (cand, cand_tol) = search.choose_splitters(p);
@@ -205,18 +185,7 @@ fn optipart_run<const D: usize>(
                 let q = partition_quality(engine, &mut dist, &cand, opts.curve);
                 pending_cost += engine.makespan() - t_eval;
                 let prev_tp = best.as_ref().map(|(_, _, bq)| score(bq));
-                let improved = match &best {
-                    Some((_, _, bq)) => {
-                        let gain = score(bq) - score(&q);
-                        match opts.amortize_over {
-                            // The gain must pay back the measured search
-                            // cost within the amortisation horizon.
-                            Some(iters) => gain * iters as f64 > pending_cost,
-                            None => gain > 0.0,
-                        }
-                    }
-                    None => true,
-                };
+                let improved = prev_tp.is_none_or(|tp| tp - score(&q) > 0.0);
                 engine.trace_decision(
                     "optipart.probe",
                     &[
@@ -237,7 +206,7 @@ fn optipart_run<const D: usize>(
                 splitters = cand;
                 achieved = cand_tol;
             }
-            if best.is_some() && worse > opts.patience {
+            if best.is_some() && worse > PATIENCE {
                 break;
             }
             if rung == 0.0 {
@@ -269,7 +238,7 @@ fn optipart_run<const D: usize>(
 
     // Line 22–23: staged all-to-all + local TreeSort.
     let summary = search.summary(achieved, quality.cmax, quality.tp);
-    let outcome = exchange_and_sort(engine, dist, splitters, opts.alltoall, summary);
+    let outcome = exchange_and_sort(engine, dist, splitters, AllToAllAlgo::Hypercube, summary);
     (outcome, summary, leaves)
 }
 
@@ -306,8 +275,7 @@ fn mesh_signature<const D: usize>(
 
 /// What must match for a cached entry to be trusted: the mesh (signature +
 /// count), the rank count, the machine/application model, and every option
-/// that steers the ladder. The all-to-all schedule is deliberately left out
-/// — it only shapes the exchange, which always runs live.
+/// (each one steers the ladder).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Fingerprint {
     mesh_sig: u64,
@@ -360,10 +328,8 @@ fn fingerprint(engine: &Engine, mesh_sig: u64, n: u64, opts: &OptiPartOptions) -
     for v in [
         opts.curve as u64,
         opts.max_split_per_round.map_or(u64::MAX, |k| k as u64),
-        opts.max_level as u64,
         opts.max_tolerance.to_bits(),
         opts.latency_aware as u64,
-        opts.patience as u64,
     ] {
         o = mix(o ^ v);
     }
@@ -578,21 +544,21 @@ impl PartitionState {
 }
 
 /// Recounts a previous run's bucket tiling on the current mesh: one local
-/// pass over the sorted data (via the `LevelOffsets` jump tables) plus one
-/// vector all-reduce. Returns the resulting [`CountTable`] and the number
-/// of leaves whose population changed since the cached run — the size of
-/// the refinement-front diff.
+/// pass placing each element in its leaf plus one vector all-reduce.
+/// Returns the resulting [`CountTable`] and the number of leaves whose
+/// population changed since the cached run — the size of the
+/// refinement-front diff.
 fn recount_table<const D: usize>(
     engine: &mut Engine,
     dist: &mut DistVec<KeyedCell<D>>,
     prev: &[(u128, u8, u64)],
 ) -> (CountTable, usize) {
-    let ranges: Vec<(u128, u8)> = prev.iter().map(|&(path, level, _)| (path, level)).collect();
+    let starts: Vec<u128> = prev.iter().map(|&(path, _, _)| path).collect();
     let elem_bytes = KeyedCell::<D>::BYTES as f64;
     let local: Vec<Vec<u64>> = engine.compute_map(dist, |_r, buf| {
         (
             buf.len() as f64 * elem_bytes,
-            bucket_populations::<D>(buf, &ranges),
+            bucket_populations::<D>(buf, &starts),
         )
     });
     let counts = engine.allreduce_sum_vec_u64(&local);
@@ -640,21 +606,13 @@ fn trace_warm(
 ///   `CountTable` recounted from the cached bucket tiling, paying live
 ///   count passes only under the moved refinement front;
 /// * anything else (stale fingerprint, failed payload self-check, rank
-///   count changed by a shrink, `amortize_over` active) → cold run.
-///
-/// `amortize_over` couples ladder decisions to the engine's *measured*
-/// virtual clocks, which a warm replay deliberately does not reproduce —
-/// so that mode always runs cold rather than risk divergence.
+///   count changed by a shrink) → cold run.
 pub fn optipart_with_state<const D: usize>(
     engine: &mut Engine,
     mut dist: DistVec<KeyedCell<D>>,
     opts: OptiPartOptions,
     state: &mut PartitionState,
 ) -> PartitionOutcome<D> {
-    if opts.amortize_over.is_some() {
-        state.stats.colds += 1;
-        return optipart(engine, dist, opts);
-    }
     let pruned = state.prune_stale(engine.p());
     state.stats.invalidated += pruned as u64;
     let (mesh_sig, n) = engine.phase(PHASE_SPLITTER, |e| mesh_signature(e, &mut dist));
@@ -670,7 +628,13 @@ pub fn optipart_with_state<const D: usize>(
         trace_warm(engine, true, false, false, 0, pruned);
         let entry = &state.entries[i];
         let splitters = entry.splitters.clone();
-        return exchange_and_sort(engine, dist, splitters, opts.alltoall, entry.summary);
+        return exchange_and_sort(
+            engine,
+            dist,
+            splitters,
+            AllToAllAlgo::Hypercube,
+            entry.summary,
+        );
     }
     // A tampered exact match goes straight to the cold path.
     let replay = if state.stats.rejected == rejected_before {
@@ -936,23 +900,6 @@ mod tests {
         let mut cold_e = engine_on(MachineModel::cloudlab_wisconsin(), 7);
         let cold = optipart(&mut cold_e, distribute_tree(&tree, 7), opts);
         assert_outcomes_identical(&cold, &warm);
-    }
-
-    #[test]
-    fn amortized_mode_bypasses_warm_start() {
-        let tree = MeshParams::normal(2000, 97).build::<3>(Curve::Hilbert);
-        let opts = OptiPartOptions {
-            amortize_over: Some(50),
-            ..Default::default()
-        };
-        let mut state = PartitionState::new();
-        for _ in 0..2 {
-            let mut e = engine_on(MachineModel::cloudlab_wisconsin(), 8);
-            let _ = optipart_with_state(&mut e, distribute_tree(&tree, 8), opts, &mut state);
-        }
-        assert_eq!(state.stats.colds, 2);
-        assert_eq!(state.stats.hits, 0);
-        assert!(state.is_empty(), "amortized runs must not seed the cache");
     }
 
     #[test]

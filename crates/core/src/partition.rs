@@ -27,7 +27,8 @@ pub const PHASE_LOCAL_SORT: &str = "local_sort";
 /// per-round spans the trace timeline shows for the tolerance search.
 pub const PHASE_REFINE: &str = "refine";
 
-/// Options for the flexible distributed TreeSort.
+/// Options for the flexible distributed TreeSort. Splitter refinement may
+/// reach [`MAX_DEPTH`].
 #[derive(Clone, Copy, Debug)]
 pub struct PartitionOptions {
     /// Load-balance tolerance as a fraction of the ideal grain `N/p`
@@ -39,8 +40,6 @@ pub struct PartitionOptions {
     pub max_split_per_round: Option<usize>,
     /// All-to-all schedule for the data exchange (§3.1 uses staged).
     pub alltoall: AllToAllAlgo,
-    /// Cap on splitter refinement depth (≤ [`MAX_DEPTH`]).
-    pub max_level: u8,
 }
 
 impl Default for PartitionOptions {
@@ -49,7 +48,6 @@ impl Default for PartitionOptions {
             tolerance: 0.0,
             max_split_per_round: None,
             alltoall: AllToAllAlgo::Hypercube,
-            max_level: MAX_DEPTH,
         }
     }
 }
@@ -392,13 +390,13 @@ impl SplitterSearch {
 
     /// Indices of buckets whose interior still contains a target farther
     /// than `tol_units` from both edges (and which can still refine).
-    pub fn violating_buckets(&self, p: usize, tol_units: f64, max_level: u8) -> Vec<usize> {
+    pub fn violating_buckets(&self, p: usize, tol_units: f64) -> Vec<usize> {
         let cum = self.cumulative();
         let targets = self.targets(p);
         let mut out = Vec::new();
         let mut ti = 0usize;
         for (bi, b) in self.buckets.iter().enumerate() {
-            if b.level >= max_level {
+            if b.level >= MAX_DEPTH {
                 continue;
             }
             let lo = cum[bi];
@@ -424,19 +422,19 @@ impl SplitterSearch {
     /// targets. Such a bucket forces two splitters onto the same boundary —
     /// an empty partition — so OptiPart must refine it regardless of the
     /// performance model (its `Wmax` is at least two grains anyway).
-    pub fn multi_target_buckets(&self, p: usize, max_level: u8) -> Vec<usize> {
-        self.buckets_with_targets(p, max_level, 2)
+    pub fn multi_target_buckets(&self, p: usize) -> Vec<usize> {
+        self.buckets_with_targets(p, 2)
     }
 
     /// Indices of refinable non-empty buckets whose interior holds at
     /// least `min` targets (strictly inside — a target on a bucket edge
     /// already has its boundary).
-    fn buckets_with_targets(&self, p: usize, max_level: u8, min: usize) -> Vec<usize> {
+    fn buckets_with_targets(&self, p: usize, min: usize) -> Vec<usize> {
         let cum = self.cumulative();
         let targets = self.targets(p);
         let mut out = Vec::new();
         for (bi, b) in self.buckets.iter().enumerate() {
-            if b.level >= max_level || b.count == 0 {
+            if b.level >= MAX_DEPTH || b.count == 0 {
                 continue;
             }
             let lo = cum[bi];
@@ -489,12 +487,12 @@ impl SplitterSearch {
     ///
     /// Shared verbatim by the global-view and rank-view (threaded) loops
     /// so both replay the identical state machine.
-    pub(crate) fn pending_splits(&self, p: usize, tol_units: f64, max_level: u8) -> Vec<usize> {
-        let violating = self.violating_buckets(p, tol_units, max_level);
+    pub(crate) fn pending_splits(&self, p: usize, tol_units: f64) -> Vec<usize> {
+        let violating = self.violating_buckets(p, tol_units);
         if !violating.is_empty() {
             return violating;
         }
-        let multi = self.multi_target_buckets(p, max_level);
+        let multi = self.multi_target_buckets(p);
         if !multi.is_empty() {
             return multi;
         }
@@ -507,9 +505,9 @@ impl SplitterSearch {
         // the requested tolerance (each split can add up to 2^D − 1
         // boundaries). A split can also add none (all elements in one
         // child), so the loop may come back for more; levels grow each
-        // time, which bounds termination at `max_level`.
+        // time, which bounds termination at `MAX_DEPTH`.
         let deficit = (p - 1).saturating_sub(self.interior_bounds().len());
-        let mut force = self.buckets_with_targets(p, max_level, 1);
+        let mut force = self.buckets_with_targets(p, 1);
         force.truncate(deficit.max(1));
         force
     }
@@ -521,7 +519,7 @@ impl SplitterSearch {
     /// TreeSort runs it once, OptiPart once per rung of its tolerance
     /// ladder on the same, monotonically refined state. Each round's
     /// makespan delta is added to `cost`, round by round — the measured
-    /// search cost OptiPart's `amortize_over` rule weighs gains against.
+    /// search cost OptiPart reports as `search_cost_s`.
     pub fn refine_to<const D: usize>(
         &mut self,
         engine: &mut Engine,
@@ -533,7 +531,7 @@ impl SplitterSearch {
         let p = engine.p();
         let tol_units = opts.tolerance * (self.n as f64 / p as f64);
         loop {
-            let mut split = self.pending_splits(p, tol_units, opts.max_level);
+            let mut split = self.pending_splits(p, tol_units);
             if split.is_empty() {
                 break;
             }
@@ -932,7 +930,6 @@ mod tests {
                 distribution: dist,
                 num_points: 1200,
                 seed: 13,
-                ..Default::default()
             }
             .build::<3>(Curve::Hilbert);
             let mut e = engine(8);

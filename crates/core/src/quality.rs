@@ -3,8 +3,8 @@
 //! Estimates the runtime a *candidate* partition (given by splitters) would
 //! deliver, without moving any data: one linear pass over the local elements
 //! counts those on partition boundaries (`computeLocalBdyOctants`), the
-//! partition sizes follow from the same pass, and two all-reduces yield
-//! `Wmax` and `Cmax` for Eq. (3).
+//! partition sizes follow from the same pass, and three vector all-reduces
+//! yield `Cmax`, `Wmax` and the neighbour count `Mmax` for Eq. (3).
 //!
 //! A cell is a *boundary octant* of its partition if any of its `2D`
 //! same-size face neighbours falls into a different partition — exactly the
@@ -132,9 +132,14 @@ pub fn partition_quality<const D: usize>(
     });
 
     // Lines 3–4: ReduceAll to global per-partition vectors, take maxima.
-    let bdy_contrib: Vec<Vec<u64>> = local.iter().map(|(b, _, _)| b.clone()).collect();
-    let sz_contrib: Vec<Vec<u64>> = local.iter().map(|(_, s, _)| s.clone()).collect();
-    let nbr_contrib: Vec<Vec<u64>> = local.into_iter().map(|(_, _, n)| n).collect();
+    let mut bdy_contrib: Vec<Vec<u64>> = Vec::with_capacity(local.len());
+    let mut sz_contrib: Vec<Vec<u64>> = Vec::with_capacity(local.len());
+    let mut nbr_contrib: Vec<Vec<u64>> = Vec::with_capacity(local.len());
+    for (b, s, n) in local {
+        bdy_contrib.push(b);
+        sz_contrib.push(s);
+        nbr_contrib.push(n);
+    }
     let bdy = engine.allreduce_sum_vec_u64(&bdy_contrib);
     let sz = engine.allreduce_sum_vec_u64(&sz_contrib);
     // Neighbour sets observed by different source ranks overlap, so neither

@@ -19,34 +19,16 @@ use crate::partition::{
 use optipart_mpisim::{AllToAllAlgo, DistVec, Engine, Wire};
 use optipart_sfc::{KeyedCell, SfcKey};
 
-/// Options for the SampleSort baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct SampleSortOptions {
-    /// Samples contributed per rank. `None` = the classic `p − 1` (regular
-    /// sampling with exact balance guarantees, quadratic total samples).
-    pub samples_per_rank: Option<usize>,
-    /// All-to-all schedule for the data exchange.
-    pub alltoall: AllToAllAlgo,
-}
-
-impl Default for SampleSortOptions {
-    fn default() -> Self {
-        SampleSortOptions {
-            samples_per_rank: None,
-            alltoall: AllToAllAlgo::Hypercube,
-        }
-    }
-}
-
-/// Partitions by parallel SampleSort on the SFC keys.
+/// Partitions by parallel SampleSort on the SFC keys: the classic `p − 1`
+/// regular samples per rank (exact balance guarantees, quadratic total
+/// samples) and a hypercube exchange.
 pub fn samplesort_partition<const D: usize>(
     engine: &mut Engine,
     mut dist: DistVec<KeyedCell<D>>,
-    opts: SampleSortOptions,
 ) -> PartitionOutcome<D> {
     let p = engine.p();
     let elem_bytes = KeyedCell::<D>::BYTES as f64;
-    let s = opts.samples_per_rank.unwrap_or((p - 1).max(1)).max(1);
+    let s = (p - 1).max(1);
 
     // Local comparison sort (n log n memory traffic).
     engine.phase(PHASE_LOCAL_SORT, |e| {
@@ -88,7 +70,7 @@ pub fn samplesort_partition<const D: usize>(
         e.alltoallv_by(
             dist.into_parts(),
             |_src, kc: &KeyedCell<D>| owner_of(&splitters, &kc.key),
-            opts.alltoall,
+            AllToAllAlgo::Hypercube,
         )
     });
     let mut out = DistVec::from_parts(recv);
@@ -135,11 +117,7 @@ mod tests {
         for curve in Curve::ALL {
             let tree = MeshParams::normal(2000, 61).build::<3>(curve);
             let mut e = engine(8);
-            let out = samplesort_partition(
-                &mut e,
-                distribute_tree(&tree, 8),
-                SampleSortOptions::default(),
-            );
+            let out = samplesort_partition(&mut e, distribute_tree(&tree, 8));
             let mut expected: Vec<KeyedCell<3>> = tree.leaves().to_vec();
             expected.sort_unstable();
             assert_eq!(out.dist.concat(), expected, "{curve}");
@@ -150,11 +128,7 @@ mod tests {
     fn samplesort_is_roughly_balanced() {
         let tree = MeshParams::normal(8000, 67).build::<3>(Curve::Morton);
         let mut e = engine(16);
-        let out = samplesort_partition(
-            &mut e,
-            distribute_tree(&tree, 16),
-            SampleSortOptions::default(),
-        );
+        let out = samplesort_partition(&mut e, distribute_tree(&tree, 16));
         // Regular sampling bounds the partition size by ~2 N/p.
         assert!(out.report.lambda < 3.0, "λ = {}", out.report.lambda);
         assert_eq!(out.dist.total_len(), tree.len());
@@ -166,20 +140,12 @@ mod tests {
         let tree = MeshParams::normal(4000, 71).build::<3>(Curve::Morton);
         let t_small = {
             let mut e = engine(4);
-            let _ = samplesort_partition(
-                &mut e,
-                distribute_tree(&tree, 4),
-                SampleSortOptions::default(),
-            );
+            let _ = samplesort_partition(&mut e, distribute_tree(&tree, 4));
             e.phase_time(PHASE_SPLITTER)
         };
         let t_large = {
             let mut e = engine(64);
-            let _ = samplesort_partition(
-                &mut e,
-                distribute_tree(&tree, 64),
-                SampleSortOptions::default(),
-            );
+            let _ = samplesort_partition(&mut e, distribute_tree(&tree, 64));
             e.phase_time(PHASE_SPLITTER)
         };
         assert!(
@@ -189,32 +155,10 @@ mod tests {
     }
 
     #[test]
-    fn reduced_oversampling_still_partitions() {
-        let tree = MeshParams::normal(3000, 73).build::<3>(Curve::Hilbert);
-        let mut e = engine(8);
-        let out = samplesort_partition(
-            &mut e,
-            distribute_tree(&tree, 8),
-            SampleSortOptions {
-                samples_per_rank: Some(4),
-                ..Default::default()
-            },
-        );
-        assert_eq!(out.dist.total_len(), tree.len());
-        let mut expected: Vec<KeyedCell<3>> = tree.leaves().to_vec();
-        expected.sort_unstable();
-        assert_eq!(out.dist.concat(), expected);
-    }
-
-    #[test]
     fn single_rank_samplesort() {
         let tree = MeshParams::normal(400, 79).build::<3>(Curve::Hilbert);
         let mut e = engine(1);
-        let out = samplesort_partition(
-            &mut e,
-            distribute_tree(&tree, 1),
-            SampleSortOptions::default(),
-        );
+        let out = samplesort_partition(&mut e, distribute_tree(&tree, 1));
         assert_eq!(out.dist.total_len(), tree.len());
     }
 }

@@ -31,7 +31,7 @@ pub fn threaded_treesort_partition<const D: usize>(
     let tol_units = opts.tolerance * (n as f64 / p as f64);
 
     loop {
-        let mut violating = search.pending_splits(p, tol_units, opts.max_level);
+        let mut violating = search.pending_splits(p, tol_units);
         if violating.is_empty() {
             break;
         }

@@ -273,126 +273,22 @@ pub fn treesort_levels_reference<const D: usize>(a: &mut [KeyedCell<D>], l1: u8,
     }
 }
 
-/// The induced partition boundaries of a TreeSort at a given level: the
-/// element index at which each level-`l` bucket starts. These are the
-/// partitions §3.2 trades against — coarser levels give fewer, chunkier
-/// buckets with smaller surface.
-///
-/// For a single level this scans once; when several levels are needed,
-/// [`LevelOffsets`] builds every table in one pass instead.
-pub fn bucket_offsets_at_level<const D: usize>(sorted: &[KeyedCell<D>], level: u8) -> Vec<usize> {
-    let mut offsets = Vec::new();
-    let mut prev: Option<u128> = None;
-    for (i, kc) in sorted.iter().enumerate() {
-        let prefix = kc.key.prefix::<D>(level).path();
-        if prev != Some(prefix) {
-            offsets.push(i);
-            prev = Some(prefix);
-        }
-    }
-    offsets
-}
-
-/// Bucket-offset tables for every level `0..=max_level` of a sorted array,
-/// built in **one pass** instead of one [`bucket_offsets_at_level`] rescan
-/// per level.
-///
-/// For each adjacent pair the XOR of the key paths locates the most
-/// significant differing digit; a bucket boundary exists at exactly the
-/// levels deep enough to see that digit. Keys store no digits below their
-/// own level (they are zero by construction), which makes the raw path XOR
-/// agree with the clamped `prefix(level)` comparison the per-level scan
-/// performs.
-#[derive(Clone, Debug)]
-pub struct LevelOffsets {
-    per_level: Vec<Vec<usize>>,
-}
-
-impl LevelOffsets {
-    /// Builds the tables for levels `0..=max_level` of `sorted`.
-    pub fn build<const D: usize>(sorted: &[KeyedCell<D>], max_level: u8) -> LevelOffsets {
-        let max_level = max_level.min(MAX_DEPTH) as usize;
-        let mut per_level: Vec<Vec<usize>> = vec![Vec::new(); max_level + 1];
-        if sorted.is_empty() {
-            return LevelOffsets { per_level };
-        }
-        for table in per_level.iter_mut() {
-            table.push(0);
-        }
-        for i in 1..sorted.len() {
-            let z = sorted[i - 1].key.path() ^ sorted[i].key.path();
-            if z == 0 {
-                continue;
-            }
-            // Highest differing bit hb lies in the digit of level
-            // `MAX_DEPTH − 1 − hb/D`; every level below (numerically ≥
-            // `MAX_DEPTH − hb/D`... i.e. deep enough that its prefix
-            // includes that digit) starts a new bucket here.
-            let hb = 127 - z.leading_zeros() as usize;
-            let l_min = MAX_DEPTH as usize - hb / D;
-            for table in per_level.iter_mut().skip(l_min) {
-                table.push(i);
-            }
-        }
-        LevelOffsets { per_level }
-    }
-
-    /// The deepest level a table was built for.
-    pub fn max_level(&self) -> u8 {
-        (self.per_level.len() - 1) as u8
-    }
-
-    /// The offset table for `level` — identical to
-    /// `bucket_offsets_at_level(sorted, level)`.
-    pub fn at(&self, level: u8) -> &[usize] {
-        &self.per_level[level as usize]
-    }
-}
-
 /// Per-leaf element populations of `buf` over an octree-aligned leaf
-/// tiling — `(path, level)` pairs sorted by path, spanning the whole key
-/// domain (the final bucket tiling a splitter search leaves behind).
-///
-/// When `buf` is already SFC-sorted — the steady state of an AMR loop —
-/// the counts come from binary searches over the [`LevelOffsets`] jump
-/// tables: one `build` pass plus `O(log)` lookups per leaf, never a
-/// per-element re-scan. Unsorted input falls back to placing each element
-/// by binary search over the leaf starts. This is the population diff
-/// OptiPart's warm-start replay uses to find the buckets the refinement
-/// front actually moved.
-pub fn bucket_populations<const D: usize>(buf: &[KeyedCell<D>], leaves: &[(u128, u8)]) -> Vec<u64> {
-    let mut counts = vec![0u64; leaves.len()];
-    if buf.is_empty() || leaves.is_empty() {
+/// tiling — leaf start paths sorted ascending, spanning the whole key
+/// domain from path 0 (the final bucket tiling a splitter search leaves
+/// behind). Each element is placed by one binary search over the leaf
+/// starts, sorted input or not. This is the population diff OptiPart's
+/// warm-start replay uses to find the buckets the refinement front
+/// actually moved.
+pub fn bucket_populations<const D: usize>(buf: &[KeyedCell<D>], leaf_starts: &[u128]) -> Vec<u64> {
+    let mut counts = vec![0u64; leaf_starts.len()];
+    if leaf_starts.is_empty() {
         return counts;
     }
-    debug_assert_eq!(leaves[0].0, 0, "leaf tiling must start at path 0");
-    if buf.windows(2).any(|w| w[0].key.path() > w[1].key.path()) {
-        for kc in buf {
-            let i = leaves.partition_point(|&(p, _)| p <= kc.key.path());
-            counts[i - 1] += 1;
-        }
-        return counts;
-    }
-    let max_level = leaves.iter().map(|&(_, l)| l).max().unwrap_or(0);
-    let table = LevelOffsets::build(buf, max_level);
-    // Element index of the first key with path ≥ `path` (aligned at
-    // `level`), via the level-`level` jump table: a level-`level` prefix
-    // can only change at a bucket start, so searching the table is
-    // searching the array.
-    let start_of = |path: u128, level: u8| -> usize {
-        let offs = table.at(level);
-        let k = offs.partition_point(|&i| buf[i].key.prefix::<D>(level).path() < path);
-        offs.get(k).copied().unwrap_or(buf.len())
-    };
-    for (ci, &(path, level)) in leaves.iter().enumerate() {
-        let span = 1u128 << ((MAX_DEPTH - level) as u32 * D as u32);
-        let lo = start_of(path, level);
-        let hi = if ci + 1 < leaves.len() {
-            start_of(path + span, level)
-        } else {
-            buf.len()
-        };
-        counts[ci] = (hi - lo) as u64;
+    debug_assert_eq!(leaf_starts[0], 0, "leaf tiling must start at path 0");
+    for kc in buf {
+        let i = leaf_starts.partition_point(|&p| p <= kc.key.path());
+        counts[i - 1] += 1;
     }
     counts
 }
@@ -471,10 +367,14 @@ mod tests {
         }
     }
 
+    /// Index ranges of the runs of `a` sharing a level-`l1` prefix.
     fn level_groups<const D: usize>(a: &[KeyedCell<D>], l1: u8) -> Vec<std::ops::Range<usize>> {
-        let offs = bucket_offsets_at_level(a, l1);
-        (0..offs.len())
-            .map(|i| offs[i]..offs.get(i + 1).copied().unwrap_or(a.len()))
+        let mut start = 0;
+        a.chunk_by(|x, y| x.key.prefix::<D>(l1).path() == y.key.prefix::<D>(l1).path())
+            .map(|run| {
+                start += run.len();
+                start - run.len()..start
+            })
             .collect()
     }
 
@@ -535,62 +435,6 @@ mod tests {
         let prefixes: Vec<u128> = a.iter().map(|kc| kc.key.prefix::<3>(2).path()).collect();
         // Prefixes must be non-decreasing (grouped in curve order).
         assert!(prefixes.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn bucket_offsets_partition_the_array() {
-        let mut a = shuffled_mesh(600, 4, Curve::Hilbert);
-        treesort(&mut a);
-        for level in [1u8, 2, 3] {
-            let offs = bucket_offsets_at_level(&a, level);
-            assert_eq!(offs[0], 0);
-            assert!(offs.windows(2).all(|w| w[0] < w[1]));
-            assert!(offs.len() <= 1 << (3 * level as usize));
-            // Buckets get smaller (more numerous) with level — the λ vs s
-            // trade of Fig. 2.
-            if level > 1 {
-                let prev = bucket_offsets_at_level(&a, level - 1);
-                assert!(offs.len() >= prev.len());
-            }
-        }
-    }
-
-    #[test]
-    fn level_offsets_table_matches_per_level_scans() {
-        for (n, seed, curve) in [(600, 4, Curve::Hilbert), (900, 11, Curve::Morton)] {
-            let mut a = shuffled_mesh(n, seed, curve);
-            treesort(&mut a);
-            let table = LevelOffsets::build(&a, 8);
-            assert_eq!(table.max_level(), 8);
-            for level in 0..=8u8 {
-                assert_eq!(
-                    table.at(level),
-                    bucket_offsets_at_level(&a, level).as_slice(),
-                    "level {level} seed {seed}"
-                );
-            }
-        }
-        // Mixed-level input with parked ancestors.
-        let parent = Cell3::new([1 << 29, 0, 0], 3);
-        let mut cells = vec![parent];
-        for c in parent.children() {
-            cells.push(c);
-            for g in c.children() {
-                cells.push(g);
-            }
-        }
-        let mut keyed = KeyedCell::key_all(&cells, Curve::Hilbert);
-        treesort(&mut keyed);
-        let table = LevelOffsets::build(&keyed, 6);
-        for level in 0..=6u8 {
-            assert_eq!(
-                table.at(level),
-                bucket_offsets_at_level(&keyed, level).as_slice(),
-                "ancestors level {level}"
-            );
-        }
-        let empty: Vec<KeyedCell<3>> = vec![];
-        assert!(LevelOffsets::build(&empty, 3).at(2).is_empty());
     }
 
     #[test]

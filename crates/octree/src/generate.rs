@@ -7,7 +7,7 @@
 //! normal distribution."
 //!
 //! A mesh is built by sampling points from the chosen distribution and
-//! refining every cell holding more than `max_points_per_cell` points — so
+//! refining every cell holding more than a given number of points — so
 //! dense regions get deep refinement and the resulting leaf array is a
 //! complete, adaptive linear octree, exactly the input class of the paper's
 //! partitioners.
@@ -135,7 +135,8 @@ pub fn sample_points_skewed<const D: usize>(n: usize, seed: u64, shift: u32) -> 
     pts
 }
 
-/// Parameters of a generated mesh.
+/// Parameters of a generated mesh: every cell holding more than one point
+/// is refined, down to [`MAX_DEPTH`] (the paper's depth 30).
 #[derive(Clone, Copy, Debug)]
 pub struct MeshParams {
     /// Point distribution.
@@ -143,10 +144,6 @@ pub struct MeshParams {
     /// Number of sample points. The leaf count ends up within a small
     /// factor of this (every split produces `2^D` leaves for > 1 point).
     pub num_points: usize,
-    /// Refine any cell holding more points than this.
-    pub max_points_per_cell: usize,
-    /// Refinement cap (≤ [`MAX_DEPTH`]; the paper uses depth 30).
-    pub max_level: u8,
     /// RNG seed — all meshes are reproducible.
     pub seed: u64,
 }
@@ -156,8 +153,6 @@ impl Default for MeshParams {
         MeshParams {
             distribution: Distribution::Normal,
             num_points: 10_000,
-            max_points_per_cell: 1,
-            max_level: MAX_DEPTH,
             seed: 0x0511_2017,
         }
     }
@@ -177,15 +172,15 @@ impl MeshParams {
     /// Builds the adaptive mesh for these parameters on a curve.
     pub fn build<const D: usize>(&self, curve: Curve) -> LinearTree<D> {
         let points = sample_points::<D>(self.distribution, self.num_points, self.seed);
-        tree_from_points(&points, self.max_points_per_cell, self.max_level, curve)
+        tree_from_points(&points, 1, MAX_DEPTH, curve)
     }
 }
 
 /// Builds a complete adaptive linear octree by splitting every cell holding
-/// more than `max_points_per_cell` of the given points.
+/// more than `cap` (at least 1) of the given points, down to `max_level`.
 pub fn tree_from_points<const D: usize>(
     points: &[Point<D>],
-    max_points_per_cell: usize,
+    cap: usize,
     max_level: u8,
     curve: Curve,
 ) -> LinearTree<D> {
@@ -195,7 +190,7 @@ pub fn tree_from_points<const D: usize>(
     split_recursive(
         Cell::root(),
         &mut owned[..],
-        max_points_per_cell.max(1),
+        cap.max(1),
         max_level,
         &mut leaves,
     );
@@ -287,8 +282,6 @@ mod tests {
                 let params = MeshParams {
                     distribution: dist,
                     num_points: 500,
-                    max_points_per_cell: 1,
-                    max_level: 12,
                     seed: 7,
                 };
                 let t: LinearTree<3> = params.build(curve);
@@ -343,13 +336,8 @@ mod tests {
 
     #[test]
     fn max_level_is_respected() {
-        let params = MeshParams {
-            num_points: 5_000,
-            max_level: 4,
-            max_points_per_cell: 1,
-            ..Default::default()
-        };
-        let t: LinearTree<3> = params.build(Curve::Hilbert);
+        let pts = sample_points::<3>(Distribution::Normal, 5_000, 0x0511_2017);
+        let t = tree_from_points(&pts, 1, 4, Curve::Hilbert);
         assert!(t.leaves().iter().all(|kc| kc.cell.level() <= 4));
         assert!(t.is_complete());
     }

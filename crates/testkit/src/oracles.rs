@@ -18,13 +18,13 @@
 
 use crate::scenario::{HierKind, NamedCheck, Scenario, Workload};
 use crate::{tk_assert, tk_assert_eq};
-use optipart_core::optipart::{optipart_with_state, PartitionState};
+use optipart_core::optipart::{optipart_with_state, PartitionState, PATIENCE};
 use optipart_core::partition::{
     audit_splitters, distribute_by_splitters, distribute_shuffled, distribute_tree, owner_of,
     treesort_partition,
 };
 use optipart_core::quality::partition_quality;
-use optipart_core::samplesort::{samplesort_partition, SampleSortOptions};
+use optipart_core::samplesort::samplesort_partition;
 use optipart_core::threaded::threaded_treesort_partition;
 use optipart_core::treesort::{
     treesort, treesort_levels_reference, treesort_reference, treesort_scoped, PAR_CUTOFF,
@@ -723,7 +723,7 @@ pub fn optipart_bruteforce(scn: &Scenario) {
     // the admissibility cap rejects (at loose tolerances two targets can
     // contend for one shared bucket edge and TreeSort then *achieves* more
     // imbalance than requested), skip unchanged candidates, and stop after
-    // `patience` consecutive evaluations that failed to improve.
+    // `PATIENCE` consecutive evaluations that failed to improve.
     let defaults = OptiPartOptions::default();
     let mut best = f64::INFINITY;
     let mut best_tol = 0.0;
@@ -743,7 +743,7 @@ pub fn optipart_bruteforce(scn: &Scenario) {
             worse = 0;
         } else {
             worse += 1;
-            if best.is_finite() && worse > defaults.patience {
+            if best.is_finite() && worse > PATIENCE {
                 break;
             }
         }
@@ -798,11 +798,7 @@ pub fn samplesort_equivalence(scn: &Scenario) {
         scn.opts(),
     );
     let mut e2 = scn.engine();
-    let b = samplesort_partition(
-        &mut e2,
-        distribute_shuffled(&tree, p, scn.shuffle_seed(5)),
-        SampleSortOptions::default(),
-    );
+    let b = samplesort_partition(&mut e2, distribute_shuffled(&tree, p, scn.shuffle_seed(5)));
     tk_assert!(
         scn,
         a.dist.concat() == b.dist.concat(),

@@ -1,5 +1,7 @@
 //! Demo of the fault-injection API: partition the same mesh on a clean and
-//! a perturbed virtual machine and compare what the faults cost.
+//! a perturbed virtual machine and compare what the faults cost. Faults
+//! change the cost (makespan, retries), never the chosen tolerance: OptiPart
+//! decides from the performance model, not from the perturbed clocks.
 //!
 //! ```text
 //! cargo run --release --example fault_demo [seed]
@@ -19,10 +21,7 @@ fn main() {
         .unwrap_or(86);
     let p = 16;
     let tree = MeshParams::normal(6_000, seed).build::<3>(Curve::Hilbert);
-    let opts = OptiPartOptions {
-        amortize_over: Some(100),
-        ..Default::default()
-    };
+    let opts = OptiPartOptions::default();
     let perf = || {
         PerfModel::new(
             MachineModel::cloudlab_wisconsin(),

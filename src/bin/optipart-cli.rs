@@ -89,7 +89,6 @@ fn cmd_gen(f: &Flags) {
         distribution: dist,
         num_points: points,
         seed,
-        ..Default::default()
     }
     .build(curve_of(f));
     let out = f.get("out").unwrap_or("mesh.txt");

@@ -3,7 +3,7 @@
 
 use optipart::core::optipart::{optipart, OptiPartOptions};
 use optipart::core::partition::{distribute_tree, treesort_partition, PartitionOptions};
-use optipart::core::samplesort::{samplesort_partition, SampleSortOptions};
+use optipart::core::samplesort::samplesort_partition;
 use optipart::fem::{cg_solve, run_matvec_experiment, DistMesh};
 use optipart::machine::{AppModel, IpmiSampler, MachineModel, PerfModel};
 use optipart::mpisim::{DistVec, Engine};
@@ -36,11 +36,7 @@ fn all_partitioners_agree_on_global_order() {
         OptiPartOptions::default(),
     );
     let mut e3 = engine(MachineModel::titan(), p);
-    let c = samplesort_partition(
-        &mut e3,
-        distribute_tree(&tree, p),
-        SampleSortOptions::default(),
-    );
+    let c = samplesort_partition(&mut e3, distribute_tree(&tree, p));
 
     assert_eq!(a.dist.concat(), expected);
     assert_eq!(b.dist.concat(), expected);
@@ -56,7 +52,6 @@ fn pipeline_runs_for_all_distributions_and_curves() {
                 distribution: dist,
                 num_points: 1_200,
                 seed: 11,
-                ..Default::default()
             }
             .build::<3>(curve);
             let p = 6;

@@ -10,7 +10,7 @@ use optipart::core::partition::{
     distribute_tree, treesort_partition, PartitionOptions, PHASE_SPLITTER,
 };
 use optipart::core::quality::partition_quality;
-use optipart::core::samplesort::{samplesort_partition, SampleSortOptions};
+use optipart::core::samplesort::samplesort_partition;
 use optipart::fem::{run_matvec_experiment, DistMesh};
 use optipart::machine::{AppModel, MachineModel, PerfModel};
 use optipart::mpisim::Engine;
@@ -185,11 +185,7 @@ fn optipart_splitter_phase_scales_better_than_samplesort() {
             OptiPartOptions::for_curve(Curve::Morton),
         );
         let mut e2 = engine(MachineModel::stampede(), p);
-        let _ = samplesort_partition(
-            &mut e2,
-            distribute_tree(&tree, p),
-            SampleSortOptions::default(),
-        );
+        let _ = samplesort_partition(&mut e2, distribute_tree(&tree, p));
         (e1.phase_time(PHASE_SPLITTER), e2.phase_time(PHASE_SPLITTER))
     };
     let (o_small, s_small) = splitter_times(8);
