@@ -11,7 +11,8 @@
 //!   local TreeSort.
 //! * [`quality`] — **Algorithm 2** (`PartitionQuality`): estimates a
 //!   candidate partition's `Wmax` and `Cmax` with one linear pass plus three
-//!   vector all-reduces, and predicts its runtime via Eq. (3).
+//!   vector all-reduces, and predicts its runtime via Eq. (3). The pass
+//!   sweeps a face-neighbour key table built once per ladder.
 //! * [`optipart()`] — **Algorithm 3** (`OptiPart`): distributed TreeSort that
 //!   refines only while the predicted runtime of the *next* refinement
 //!   improves — discovering the optimal tolerance automatically for the

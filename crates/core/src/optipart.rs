@@ -35,7 +35,7 @@ use crate::partition::{
     exchange_and_sort, CountTable, PartitionOptions, PartitionOutcome, SearchSummary,
     SplitterSearch, PHASE_REFINE, PHASE_SPLITTER,
 };
-use crate::quality::{partition_quality, Quality};
+use crate::quality::{partition_quality_keyed, NeighbourKeys, Quality};
 use crate::treesort::bucket_populations;
 use optipart_mpisim::rng::mix;
 use optipart_mpisim::{AllToAllAlgo, DistVec, Engine, Wire};
@@ -135,6 +135,11 @@ fn optipart_run<const D: usize>(
             return (search, splitters, achieved, q);
         }
 
+        // Alg. 2's neighbour keys depend on the mesh, not on the splitters,
+        // and refinement only counts (`dist` keeps its order), so one table
+        // serves every rung; it is dropped with this phase, before the
+        // exchange.
+        let nbr_keys = NeighbourKeys::new(&dist, opts.curve);
         let ts = engine.perf().machine.ts;
         let score = |q: &Quality| {
             if opts.latency_aware {
@@ -182,7 +187,7 @@ fn optipart_run<const D: usize>(
                 // Inadmissible candidates can never become the answer, so
                 // Algorithm 2 only runs once the tolerance cap is reached.
                 let t_eval = engine.makespan();
-                let q = partition_quality(engine, &mut dist, &cand, opts.curve);
+                let q = partition_quality_keyed(engine, &mut dist, &nbr_keys, &cand);
                 pending_cost += engine.makespan() - t_eval;
                 let prev_tp = best.as_ref().map(|(_, _, bq)| score(bq));
                 let improved = prev_tp.is_none_or(|tp| tp - score(&q) > 0.0);
@@ -219,7 +224,7 @@ fn optipart_run<const D: usize>(
             None => {
                 // No admissible candidate ever appeared (tiny inputs): take
                 // the final, fully refined splitters.
-                let q = partition_quality(engine, &mut dist, &splitters, opts.curve);
+                let q = partition_quality_keyed(engine, &mut dist, &nbr_keys, &splitters);
                 (splitters, achieved, q)
             }
         };
@@ -675,6 +680,7 @@ pub fn optipart_with_state<const D: usize>(
 mod tests {
     use super::*;
     use crate::partition::{distribute_tree, treesort_partition, PartitionOptions};
+    use crate::quality::partition_quality;
     use optipart_machine::{AppModel, MachineModel, PerfModel};
     use optipart_octree::MeshParams;
 
@@ -725,6 +731,45 @@ mod tests {
         );
         // And its predicted time is no worse.
         assert!(opti.report.predicted_tp <= q_exact.tp + 1e-12);
+    }
+
+    #[test]
+    fn ladder_scores_match_partition_quality() {
+        // The ladder scores rungs from one neighbour-key table; re-scoring
+        // its accepted splitters from scratch must give the same Cmax and
+        // Tp bits — cold on both curves and a two-level machine, and on a
+        // warm replay over a changed mesh.
+        let machines = [
+            MachineModel::cloudlab_wisconsin(),
+            MachineModel::cloudlab_wisconsin().hierarchical_smp(),
+        ];
+        for curve in Curve::ALL {
+            let opts = OptiPartOptions::for_curve(curve);
+            let tree_a = MeshParams::normal(3000, 61).build::<3>(curve);
+            let tree_b = MeshParams::normal(3400, 67).build::<3>(curve);
+            for machine in &machines {
+                let mut state = PartitionState::new();
+                let mut e = engine_on(machine.clone(), 6);
+                let cold =
+                    optipart_with_state(&mut e, distribute_tree(&tree_a, 6), opts, &mut state);
+                let mut e = engine_on(machine.clone(), 6);
+                let warm =
+                    optipart_with_state(&mut e, distribute_tree(&tree_b, 6), opts, &mut state);
+                assert_eq!(state.stats.replays, 1, "{curve} {}", machine.name);
+                for (tree, out) in [(&tree_a, &cold), (&tree_b, &warm)] {
+                    let mut e = engine_on(machine.clone(), 6);
+                    let mut d = distribute_tree(tree, 6);
+                    let q = partition_quality(&mut e, &mut d, &out.splitters, curve);
+                    assert_eq!(out.report.cmax, q.cmax, "{curve} {}", machine.name);
+                    assert_eq!(
+                        out.report.predicted_tp.to_bits(),
+                        q.tp.to_bits(),
+                        "{curve} {}",
+                        machine.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

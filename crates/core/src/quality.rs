@@ -10,9 +10,21 @@
 //! same-size face neighbours falls into a different partition — exactly the
 //! cells whose data must be ghosted for a face-stencil application, so their
 //! count is the communication-volume proxy the performance model consumes.
+//!
+//! The pass runs in two steps. `NeighbourKeys` keys every element's `2D`
+//! face neighbours; none of those keys depends on the splitters, so
+//! OptiPart (Alg. 3) builds **one table per ladder** and scores each
+//! tolerance rung with `partition_quality_keyed`, a **keyed sweep** of
+//! `owner_of` searches over it — the only counting body;
+//! [`partition_quality`] is "build the table, run the sweep". The table is
+//! host bookkeeping and is charged nothing: each sweep still charges what
+//! the paper's Alg. 2 pays per candidate — one read of every element plus
+//! its `2D` neighbour probes — so the virtual clocks are those of an MPI
+//! program that keys neighbours per rung. Lowering that modelled charge
+//! would move every clock, and is a separate decision.
 
 use crate::partition::owner_of;
-use optipart_mpisim::{DistVec, Engine, Wire};
+use optipart_mpisim::{par, DistVec, Engine, Wire};
 use optipart_sfc::{Curve, KeyedCell, SfcKey};
 
 /// Result of a quality evaluation.
@@ -58,20 +70,91 @@ impl Quality {
     }
 }
 
+/// The face-neighbour keys of every local element: `2·D` keys per element,
+/// each element's keys sorted ascending, and [`SfcKey::MAX`] for a face on
+/// the domain boundary (its level byte is 255, so it is never a cell's key,
+/// and it sorts last). One pool holds every rank's run back to back, rank
+/// `r`'s at `starts[r]..starts[r + 1]`. The table depends on the mesh, its
+/// distribution and the curve — never on the splitters — so it stays valid
+/// for as long as `dist` is not reordered.
+pub(crate) struct NeighbourKeys {
+    keys: Vec<SfcKey>,
+    starts: Vec<usize>,
+}
+
+impl NeighbourKeys {
+    /// Keys the face neighbours of `dist`'s elements on `curve`, one rank
+    /// per host task (uncharged; see the module header).
+    pub(crate) fn new<const D: usize>(dist: &DistVec<KeyedCell<D>>, curve: Curve) -> Self {
+        let mut starts = vec![0];
+        for buf in dist.parts() {
+            starts.push(starts[starts.len() - 1] + 2 * D * buf.len());
+        }
+        let mut keys = vec![SfcKey::MIN; starts[starts.len() - 1]];
+        let mut rest = keys.as_mut_slice();
+        let mut runs = Vec::with_capacity(dist.parts().len());
+        for buf in dist.parts() {
+            let (run, tail) = rest.split_at_mut(2 * D * buf.len());
+            runs.push((run, buf));
+            rest = tail;
+        }
+        par::par_map_mut(&mut runs, |_r, (run, buf)| {
+            for (kc, nks) in buf.iter().zip(run.chunks_exact_mut(2 * D)) {
+                let faces = (0..D).flat_map(|axis| [(axis, -1i8), (axis, 1)]);
+                for (nk, (axis, dir)) in nks.iter_mut().zip(faces) {
+                    *nk = kc
+                        .cell
+                        .face_neighbor(axis, dir)
+                        .map_or(SfcKey::MAX, |nb| SfcKey::of(&nb, curve));
+                }
+                nks.sort_unstable();
+            }
+        });
+        NeighbourKeys { keys, starts }
+    }
+
+    /// Rank `r`'s run: `2·D` keys per local element, in element order.
+    fn rank(&self, r: usize) -> &[SfcKey] {
+        &self.keys[self.starts[r]..self.starts[r + 1]]
+    }
+}
+
 /// Evaluates the quality of candidate `splitters` for the (still
 /// block-distributed) data — Algorithm 2.
 ///
 /// Every rank classifies its local elements into future partitions and
 /// counts sizes and boundary octants per partition; vector all-reduces
 /// produce the global per-partition totals, whose maxima feed Eq. (3).
+/// `Mmax` is the largest number of distinct foreign partitions one source
+/// rank sees from its elements of one partition — a partition whose
+/// elements span several ranks has its neighbour set split across them,
+/// and only the per-rank set sizes are reduced (by max), so it is an
+/// estimate. Builds the neighbour-key table and runs one keyed sweep.
 pub fn partition_quality<const D: usize>(
     engine: &mut Engine,
     dist: &mut DistVec<KeyedCell<D>>,
     splitters: &[SfcKey],
     curve: Curve,
 ) -> Quality {
+    let keys = NeighbourKeys::new(dist, curve);
+    partition_quality_keyed(engine, dist, &keys, splitters)
+}
+
+/// [`partition_quality`] over a neighbour table built from this very
+/// `dist` — the keyed sweep, one per ladder rung.
+pub(crate) fn partition_quality_keyed<const D: usize>(
+    engine: &mut Engine,
+    dist: &mut DistVec<KeyedCell<D>>,
+    keys: &NeighbourKeys,
+    splitters: &[SfcKey],
+) -> Quality {
     let p = engine.p();
     assert_eq!(splitters.len(), p - 1, "need p-1 splitters");
+    assert_eq!(
+        keys.starts.len(),
+        p + 1,
+        "neighbour table built for another rank count"
+    );
     let elem_bytes = KeyedCell::<D>::BYTES as f64;
     // Partition → node placement mirrors the engine's rank placement. The
     // intra split is computed unconditionally (and reduced in the same
@@ -81,48 +164,54 @@ pub fn partition_quality<const D: usize>(
 
     // Line 1–2: one linear pass computing local boundary-octant (total and
     // all-neighbours-on-node) and size contributions per future partition.
-    let local: Vec<(Vec<u64>, Vec<u64>, Vec<u64>)> = engine.compute_map(dist, |_r, buf| {
+    let local: Vec<(Vec<u64>, Vec<u64>, Vec<u64>)> = engine.compute_map(dist, |r, buf| {
+        let nbr_keys = keys.rank(r);
+        debug_assert_eq!(
+            nbr_keys.len(),
+            2 * D * buf.len(),
+            "rank {r}: neighbour table out of step with its elements"
+        );
         // bdy packs [bdy_total ++ bdy_intra], length 2p.
         let mut bdy = vec![0u64; 2 * p];
         let mut sz = vec![0u64; p];
-        // Foreign partitions touched by this rank's elements: a hash map
-        // from each partition the rank holds elements of (a handful — a
-        // block maps to few partitions) to the hash set of neighbour
-        // partitions seen from those elements. A partition whose elements
-        // span several ranks has its set split across them, and only set
-        // sizes are reduced (by max, below), so `Mmax` is approximate.
-        let mut nbr_sets: std::collections::HashMap<usize, std::collections::HashSet<usize>> =
-            std::collections::HashMap::new();
-        for kc in buf.iter() {
+        // Every `(own, other)` partition pair seen from this rank's
+        // elements, deduplicated at the end; a partition's neighbour count
+        // is its run length. Starts with room for one element's faces.
+        let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(2 * D);
+        for (kc, nks) in buf.iter().zip(nbr_keys.chunks_exact(2 * D)) {
             let own = owner_of(splitters, &kc.key);
             sz[own] += 1;
-            let mut is_bdy = false;
+            let inside = &nks[..nks.partition_point(|k| *k < SfcKey::MAX)];
+            let (Some(first), Some(last)) = (inside.first(), inside.last()) else {
+                continue;
+            };
+            // Owners are monotone in the key, so when the smallest and the
+            // largest neighbour are both `own`, every neighbour is.
+            let hi = owner_of(splitters, last);
+            let mut other = owner_of(splitters, first);
+            if other == own && hi == own {
+                continue;
+            }
+            // A boundary octant: walk the sorted owners, each key's owner
+            // lying in `[previous owner, hi]`.
             let mut off_node = false;
-            for axis in 0..D {
-                for dir in [-1i8, 1] {
-                    if let Some(nb) = kc.cell.face_neighbor(axis, dir) {
-                        let nk = SfcKey::of(&nb, curve);
-                        let other = owner_of(splitters, &nk);
-                        if other != own {
-                            is_bdy = true;
-                            if other / rpn != own / rpn {
-                                off_node = true;
-                            }
-                            nbr_sets.entry(own).or_default().insert(other);
-                        }
-                    }
+            for nk in inside {
+                other += splitters[other..hi].partition_point(|s| s <= nk);
+                if other != own {
+                    off_node |= other / rpn != own / rpn;
+                    push_pair(&mut pairs, (own, other));
                 }
             }
-            if is_bdy {
-                bdy[own] += 1;
-                if !off_node {
-                    bdy[p + own] += 1;
-                }
+            bdy[own] += 1;
+            if !off_node {
+                bdy[p + own] += 1;
             }
         }
+        pairs.sort_unstable();
+        pairs.dedup();
         let mut nbrs = vec![0u64; p];
-        for (part, set) in nbr_sets {
-            nbrs[part] = set.len() as u64;
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            nbrs[run[0].0] = run.len() as u64;
         }
         // One pass over elements + 2D neighbour probes.
         (
@@ -193,13 +282,32 @@ pub fn partition_quality<const D: usize>(
     }
 }
 
+/// Records a partition pair, skipping a repeat of the last one (an
+/// element's sorted owners repeat adjacently). A full buffer is
+/// deduplicated before it may grow, so its size follows the number of
+/// distinct pairs, not the number of boundary faces.
+fn push_pair(pairs: &mut Vec<(usize, usize)>, pair: (usize, usize)) {
+    if pairs.last() == Some(&pair) {
+        return;
+    }
+    if pairs.len() == pairs.capacity() {
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs.reserve(pairs.len());
+    }
+    pairs.push(pair);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{distribute_tree, treesort_partition, PartitionOptions};
+    use crate::partition::{
+        distribute_shuffled, distribute_tree, treesort_partition, PartitionOptions,
+    };
     use optipart_machine::{AppModel, MachineModel, PerfModel};
     use optipart_octree::MeshParams;
     use optipart_sfc::Curve;
+    use std::collections::BTreeSet;
 
     fn engine(p: usize) -> Engine {
         Engine::new(
@@ -278,38 +386,118 @@ mod tests {
         }
     }
 
-    #[test]
-    fn quality_matches_direct_count() {
-        // Cross-check Algorithm 2 against a brute-force global count.
-        let tree = MeshParams::normal(1000, 29).build::<3>(Curve::Morton);
-        let p = 4;
-        let mut e = engine(p);
-        let out = treesort_partition(&mut e, distribute_tree(&tree, p), PartitionOptions::exact());
-        let mut dist = distribute_tree(&tree, p);
-        let q = partition_quality(&mut e, &mut dist, &out.splitters, Curve::Morton);
-
-        let mut sizes = vec![0u64; p];
+    /// Algorithm 2 by its definition: every element keys its face
+    /// neighbours on the spot, sets hold the foreign partitions, and `Mmax`
+    /// is the largest neighbour set one source rank sees for one partition.
+    fn direct_count(
+        e: &Engine,
+        dist: &DistVec<KeyedCell<3>>,
+        splitters: &[SfcKey],
+        curve: Curve,
+    ) -> Quality {
+        let p = e.p();
+        let machine = &e.perf().machine;
+        let rpn = machine.ranks_per_node.max(1);
+        let mut sz = vec![0u64; p];
         let mut bdy = vec![0u64; p];
-        for kc in tree.leaves() {
-            let own = owner_of(&out.splitters, &kc.key);
-            sizes[own] += 1;
-            let mut is_bdy = false;
-            for axis in 0..3 {
-                for dir in [-1i8, 1] {
-                    if let Some(nb) = kc.cell.face_neighbor(axis, dir) {
-                        let nk = SfcKey::of(&nb, Curve::Morton);
-                        if owner_of(&out.splitters, &nk) != own {
-                            is_bdy = true;
-                        }
+        let mut intra = vec![0u64; p];
+        let mut mmax = 0;
+        for part in dist.parts() {
+            let mut seen = vec![BTreeSet::new(); p];
+            for kc in part {
+                let own = owner_of(splitters, &kc.key);
+                sz[own] += 1;
+                let foreign: BTreeSet<usize> = (0..3)
+                    .flat_map(|axis| [-1i8, 1].map(|dir| kc.cell.face_neighbor(axis, dir)))
+                    .flatten()
+                    .map(|nb| owner_of(splitters, &SfcKey::of(&nb, curve)))
+                    .filter(|&o| o != own)
+                    .collect();
+                if !foreign.is_empty() {
+                    bdy[own] += 1;
+                    if foreign.iter().all(|&o| o / rpn == own / rpn) {
+                        intra[own] += 1;
                     }
                 }
+                seen[own].extend(foreign);
             }
-            if is_bdy {
-                bdy[own] += 1;
+            mmax = seen.iter().map(|s| s.len() as u64).fold(mmax, u64::max);
+        }
+        // The critical partition: largest weighted exchange, lowest index
+        // on ties.
+        let ratio = machine
+            .hierarchy
+            .as_ref()
+            .map_or(1.0, |h| h.tw_intra / machine.tw);
+        let weighted = |i: usize| (bdy[i] - intra[i]) as f64 + ratio * intra[i] as f64;
+        let crit = (0..p).fold(0, |c, i| if weighted(i) > weighted(c) { i } else { c });
+        let wmax = sz.into_iter().max().unwrap();
+        Quality {
+            wmax,
+            cmax: bdy[crit],
+            cmax_intra: intra[crit],
+            c_total: bdy.iter().sum(),
+            c_intra_total: intra.iter().sum(),
+            mmax,
+            tp: e.perf().predict_hier(wmax, bdy[crit], intra[crit]),
+        }
+    }
+
+    #[test]
+    fn quality_matches_direct_count() {
+        // Every count and the Tp bits against the definition, on both
+        // curves, a flat and a two-level machine, a power-of-two and an
+        // uneven rank count (7 ranks on 3-rank nodes leaves a short last
+        // node), block and shuffled inputs. TreeSort's splitters are
+        // level-0 bucket keys, which no leaf's key equals; leaf keys as
+        // splitters (SampleSort's kind) make `owner_of`'s `s <= key` edge
+        // decide which partition owns the leaf at each boundary.
+        let w = MachineModel::cloudlab_wisconsin();
+        let flat = MachineModel::custom("test-3pn", w.tc, w.ts, w.tw, 3);
+        let machines = [flat.clone(), flat.hierarchical_smp()];
+        for curve in Curve::ALL {
+            let tree = MeshParams::normal(1000, 29).build::<3>(curve);
+            for p in [4usize, 7] {
+                let treesort = {
+                    let mut e = engine(p);
+                    treesort_partition(&mut e, distribute_tree(&tree, p), PartitionOptions::exact())
+                        .splitters
+                };
+                let leaf_keys: Vec<SfcKey> = (1..p)
+                    .map(|i| tree.leaves()[i * tree.len() / p].key)
+                    .collect();
+                for ((kind, splitters), machine, shuffled) in
+                    [("treesort", &treesort), ("leaf-key", &leaf_keys)]
+                        .into_iter()
+                        .flat_map(|s| machines.iter().map(move |m| (s, m)))
+                        .flat_map(|(s, m)| [(s, m, false), (s, m, true)])
+                {
+                    let mut e = Engine::new(
+                        p,
+                        PerfModel::new(machine.clone(), AppModel::laplacian_matvec()),
+                    );
+                    let mut dist = if shuffled {
+                        distribute_shuffled(&tree, p, 11)
+                    } else {
+                        distribute_tree(&tree, p)
+                    };
+                    let want = direct_count(&e, &dist, splitters, curve);
+                    let got = partition_quality(&mut e, &mut dist, splitters, curve);
+                    let ctx = format!(
+                        "{curve} p={p} {} shuffled={shuffled} {kind} splitters",
+                        machine.name
+                    );
+                    assert!(got.cmax > 0 && got.mmax > 0, "{ctx}: degenerate case");
+                    assert_eq!(got.wmax, want.wmax, "{ctx}: wmax");
+                    assert_eq!(got.cmax, want.cmax, "{ctx}: cmax");
+                    assert_eq!(got.cmax_intra, want.cmax_intra, "{ctx}: cmax_intra");
+                    assert_eq!(got.c_total, want.c_total, "{ctx}: c_total");
+                    assert_eq!(got.c_intra_total, want.c_intra_total, "{ctx}: c_intra");
+                    assert_eq!(got.mmax, want.mmax, "{ctx}: mmax");
+                    assert_eq!(got.tp.to_bits(), want.tp.to_bits(), "{ctx}: tp");
+                }
             }
         }
-        assert_eq!(q.wmax, sizes.into_iter().max().unwrap());
-        assert_eq!(q.cmax, bdy.into_iter().max().unwrap());
     }
 
     #[test]
