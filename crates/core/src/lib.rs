@@ -30,7 +30,6 @@ pub mod optipart;
 pub mod partition;
 pub mod quality;
 pub mod samplesort;
-pub mod threaded;
 pub mod treesort;
 
 pub use optipart::{

@@ -1,5 +1,5 @@
 //! Partition-quality analysis (§5.5): communication matrix, NNZ, imbalance,
-//! boundary counts.
+//! boundary counts, realised tolerance.
 //!
 //! These are *global* (sequential) analyses over the full tree, used by the
 //! figure harness and tests to characterise a partition exactly — the
@@ -40,6 +40,24 @@ pub fn load_imbalance(counts: &[u64]) -> f64 {
     } else {
         max as f64 / min as f64
     }
+}
+
+/// The tolerance a partition realises, read off its per-partition counts
+/// alone (an SFC partition is its offset array): `max_r |prefix_r − r·N/p|`
+/// in units of the grain `max(N/p, 1)`, with the integer targets `r·N/p`
+/// the splitter search aims at. Shares no code with that search, so a test
+/// can hold its reported `achieved_tolerance` to this, bit for bit.
+pub fn realised_tolerance(counts: &[u64]) -> f64 {
+    let n: u64 = counts.iter().sum();
+    let p = counts.len() as u64;
+    let grain = (n as f64 / p as f64).max(1.0);
+    let mut prefix = 0u64;
+    let mut worst = 0.0f64;
+    for (r, &c) in (1..p).zip(counts) {
+        prefix += c;
+        worst = worst.max(prefix.abs_diff(r * n / p) as f64 / grain);
+    }
+    worst
 }
 
 /// The communication matrix `M` of §5.5 for a face-stencil application:

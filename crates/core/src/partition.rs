@@ -342,21 +342,6 @@ pub(crate) struct SplitterSearch {
 }
 
 impl SplitterSearch {
-    /// Replicated initial state from an already-known global count — used
-    /// by rank-view (threaded) implementations where every rank maintains
-    /// an identical copy of the search.
-    pub(crate) fn replicated(n: u64) -> Self {
-        SplitterSearch {
-            buckets: vec![Bucket {
-                path: 0,
-                level: 0,
-                count: n,
-            }],
-            n,
-            rounds: 0,
-        }
-    }
-
     /// Initial state: the root bucket holding everything.
     pub fn new<const D: usize>(engine: &mut Engine, dist: &DistVec<KeyedCell<D>>) -> Self {
         let local: Vec<u64> = dist.counts().iter().map(|&c| c as u64).collect();
@@ -484,10 +469,7 @@ impl SplitterSearch {
     /// at tolerances ≥ 0.5 two targets can contend for one shared edge —
     /// satisfying the tolerance test while leaving the strictly-increasing
     /// chooser short of boundaries (the audit's empty-partition class).
-    ///
-    /// Shared verbatim by the global-view and rank-view (threaded) loops
-    /// so both replay the identical state machine.
-    pub(crate) fn pending_splits(&self, p: usize, tol_units: f64) -> Vec<usize> {
+    fn pending_splits(&self, p: usize, tol_units: f64) -> Vec<usize> {
         let violating = self.violating_buckets(p, tol_units);
         if !violating.is_empty() {
             return violating;
@@ -601,19 +583,10 @@ impl SplitterSearch {
         self.apply_split::<D>(split, &global);
     }
 
-    /// Key-path boundaries `(lo, hi, level)` of the buckets about to split.
-    pub(crate) fn split_bounds<const D: usize>(&self, split: &[usize]) -> Vec<(u128, u128, u8)> {
-        split
-            .iter()
-            .map(|&bi| self.buckets[bi].key_range::<D>())
-            .collect()
-    }
-
     /// Replaces the split buckets with their children carrying the globally
     /// reduced counts — the deterministic state update every rank replays
-    /// identically (pure; shared by the virtual-engine and threaded
-    /// implementations).
-    pub(crate) fn apply_split<const D: usize>(&mut self, split: &[usize], global: &[u64]) {
+    /// identically.
+    fn apply_split<const D: usize>(&mut self, split: &[usize], global: &[u64]) {
         let nc = 1usize << D;
         let mut next: Vec<Bucket> = Vec::with_capacity(self.buckets.len() + split.len() * (nc - 1));
         let mut si = 0usize;
@@ -709,10 +682,7 @@ impl SplitterSearch {
 
 /// Histogram of `buf` over the children of the buckets bounded by
 /// `bounds` (the local counting pass of one refinement round).
-pub(crate) fn count_children<const D: usize>(
-    buf: &[KeyedCell<D>],
-    bounds: &[(u128, u128, u8)],
-) -> Vec<u64> {
+fn count_children<const D: usize>(buf: &[KeyedCell<D>], bounds: &[(u128, u128, u8)]) -> Vec<u64> {
     let nc = 1usize << D;
     let mut counts = vec![0u64; bounds.len() * nc];
     for kc in buf.iter() {
@@ -791,6 +761,7 @@ pub fn treesort_partition<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::realised_tolerance;
     use optipart_machine::{AppModel, MachineModel, PerfModel};
     use optipart_octree::{Distribution, MeshParams};
     use optipart_sfc::Curve;
@@ -901,6 +872,41 @@ mod tests {
             staged.report.rounds >= full.report.rounds,
             "staging takes more rounds"
         );
+
+        // Tight budgets truncate the pending-split list every round,
+        // including the forced rounds past the tolerance test (shared-edge
+        // contention at tolerance ≥ 0.5, chooser feasibility).
+        let tree = MeshParams::normal(2_000, 211).build::<3>(Curve::Morton);
+        let mut expected: Vec<KeyedCell<3>> = tree.leaves().to_vec();
+        expected.sort_unstable();
+        for p in [5, 11] {
+            for budget in [8, 16] {
+                for tol in [0.0, 0.25, 0.6] {
+                    let mut e = engine(p);
+                    let out = treesort_partition(
+                        &mut e,
+                        distribute_shuffled(&tree, p, 29),
+                        PartitionOptions {
+                            tolerance: tol,
+                            max_split_per_round: Some(budget),
+                            ..Default::default()
+                        },
+                    );
+                    let what = format!("p {p} budget {budget} tol {tol}");
+                    assert_eq!(out.dist.concat(), expected, "{what}");
+                    audit_splitters(&out.splitters, expected.len(), p);
+                    let achieved = out.report.achieved_tolerance;
+                    let realised = realised_tolerance(&out.report.counts);
+                    assert!(
+                        realised.to_bits() == achieved.to_bits(),
+                        "{what}: delivered counts realise {realised}, search reported {achieved}"
+                    );
+                    if tol < 0.45 {
+                        assert!(achieved <= tol, "{what}: achieved {achieved}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -939,9 +939,13 @@ mod tests {
 
     #[test]
     fn vector_allreduce_sums_elementwise() {
+        // Every sum distinct, so a permuted or dropped contribution cannot
+        // hide behind an equal total; each rank holds one entry's maximum.
+        let contribs = [vec![1, 9, 7], vec![4, 5, 0], vec![3, 10, 2]];
         let mut e = engine(3);
-        let out = e.allreduce_sum_vec_u64(&[vec![1, 0], vec![2, 5], vec![3, 1]]);
-        assert_eq!(out, vec![6, 6]);
+        assert_eq!(e.allreduce_sum_vec_u64(&contribs), vec![8, 24, 9]);
+        assert_eq!(e.allreduce_max_vec_u64(&contribs), vec![4, 10, 7]);
+        assert_eq!(e.stats().collectives, 2);
     }
 
     #[test]

@@ -57,6 +57,11 @@
 //! moved, virtual clocks never run backwards — and panics with rank-level
 //! diagnostics on the first violation. See DESIGN.md, *mpisim* ("Audits").
 //!
+//! The engine is the workspace's one message-passing substrate. Its own
+//! references check it: the dense `alltoallv` and the walked hypercube
+//! staging (compiled for tests and the `reference` feature) against the
+//! production all-to-alls.
+//!
 //! ## Fail-stop failures and recovery
 //!
 //! A [`FaultPlan`] can additionally schedule **fail-stop rank deaths**
@@ -79,7 +84,6 @@ pub mod faults;
 pub mod par;
 pub mod rng;
 pub mod stats;
-pub mod threaded;
 mod wire;
 
 pub use checkpoint::{

@@ -12,9 +12,10 @@
 //!   a machine/application model, a tolerance, a split budget and a fault
 //!   plan. Every failure message carries the scenario and a copy-pastable
 //!   `testkit replay --seed …` command.
-//! * [`oracles`] — **differential oracles**: distributed TreeSort vs the
-//!   sequential [`treesort`](optipart_core::treesort::treesort) vs the
-//!   real-threads rank view (bit-identical partitions); OptiPart vs a
+//! * [`oracles`] — **differential oracles**: the sequential
+//!   [`treesort`](optipart_core::treesort::treesort) vs a comparison sort
+//!   and distributed TreeSort vs the sorted multiset, its owners and the
+//!   tolerance its delivered counts realise (two legs); OptiPart vs a
 //!   brute-force tolerance sweep minimising Eq. (3); SampleSort vs TreeSort
 //!   multiset equality; faulted/recovered runs vs fault-free solutions.
 //! * [`metamorphic`] — **metamorphic properties**: permutation and

@@ -11,8 +11,8 @@
 //! * [`sfc`] — space-filling curves (Morton, Hilbert), octree cells, keys.
 //! * [`octree`] — linear octrees: construction, completion, 2:1 balance,
 //!   neighbours, random AMR mesh generators.
-//! * [`mpisim`] — the virtual-process BSP engine (cost-modeled collectives)
-//!   and the real-threads runtime used for cross-validation.
+//! * [`mpisim`] — the virtual-process BSP engine (cost-modeled collectives),
+//!   the workspace's one message-passing substrate.
 //! * [`machine`] — machine models (Titan, Stampede, CloudLab), the Eq. (3)
 //!   performance model, power/energy simulation.
 //! * [`core`] — the paper's algorithms: TreeSort, flexible-tolerance

@@ -19,8 +19,9 @@ fn sweep(check: fn(&Scenario), stream: u64, count: usize) {
     }
 }
 
-/// Oracle 1: distributed TreeSort vs the sequential sort, the virtual
-/// engine and the real-threads rank view (bit-identical splitters).
+/// Oracle 1, two legs: sequential TreeSort vs a comparison sort, and the
+/// distributed run vs the sorted multiset, its owners and the tolerance
+/// its delivered counts realise.
 #[test]
 fn oracle_treesort_differential() {
     sweep(oracles::treesort_differential, 0x0175_0001, 100);
