@@ -1036,12 +1036,23 @@ mod tests {
     fn alltoallv_by_routes_elements() {
         for algo in ALL_ALGOS {
             let mut e = engine(4);
-            // Every rank holds values 0..8; route value v to rank v % 4.
-            let send: Vec<Vec<u32>> = (0..4).map(|_| (0..8).collect()).collect();
-            let recv = e.alltoallv_by(send, |_src, &v| (v % 4) as usize, algo);
+            // Rank s holds 100·s + v for v in 0..8, so every value names its
+            // source; route v to rank v % 4.
+            let send: Vec<Vec<u32>> = (0..4)
+                .map(|s| (0..8).map(|v| 100 * s + v).collect())
+                .collect();
+            let recv = e.alltoallv_by(send, |_src, &x| (x % 100 % 4) as usize, algo);
             for (r, buf) in recv.iter().enumerate() {
-                assert_eq!(buf.len(), 8);
-                assert!(buf.iter().all(|&v| v % 4 == r as u32));
+                // The documented order: sources ascending, each source's
+                // elements in send order.
+                let want: Vec<u32> = (0..4)
+                    .flat_map(|s| {
+                        (0..8)
+                            .filter(|v| v % 4 == r as u32)
+                            .map(move |v| 100 * s + v)
+                    })
+                    .collect();
+                assert_eq!(buf, &want, "{algo:?} rank {r}");
             }
         }
     }

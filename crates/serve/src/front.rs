@@ -15,8 +15,11 @@
 //!   (a response, or `{"error":…}` for a line that never became a
 //!   request), and every *submitted* request is answered before `pump`
 //!   returns, even if the client stopped reading — conservation holds
-//!   connection by connection. A bad line costs its sender an error line
-//!   and the connection's exit status, never the stream.
+//!   connection by connection. A reply leaves as soon as it is ready: a
+//!   per-connection writer thread flushes whenever its reply channel runs
+//!   empty, so a client may wait for each answer before sending again. A
+//!   bad line costs its sender an error line and the connection's exit
+//!   status, never the stream.
 //! * [`Listener`] — a Unix socket that accepts N clients, pumps each on
 //!   its own thread against the shared worker pool, and joins them all.
 //!   It only ever deletes a path that is a socket.
@@ -26,13 +29,14 @@
 //!   every response against a direct library call.
 
 use crate::protocol::{Request, Response};
-use crate::server::{ConnStats, Ingress, Server, ServerStats};
+use crate::server::{lock, ConnStats, Ingress, Server, ServerStats};
 use crate::soak::{verify_responses_with, DirectCache, VerifySummary};
 use optipart_trace::json::quote;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Everything one drained connection produced: the requests it submitted
@@ -119,18 +123,16 @@ pub fn classify(line: &[u8]) -> Result<Request, String> {
 
 /// Where one connection's output goes, and whether it still can: after the
 /// first failed write the client has stopped reading, so `pump` keeps
-/// draining for conservation but stops writing.
+/// draining for conservation but stops writing. The reader and the writer
+/// of a connection share it behind one lock, so lines never interleave.
 struct Out<W: Write> {
     w: W,
     ok: bool,
 }
 
 impl<W: Write> Out<W> {
-    fn line(&mut self, stats: &mut ConnStats, line: &str) {
-        if self.ok && writeln!(self.w, "{line}").is_err() {
-            self.ok = false;
-            stats.io_errors += 1;
-        }
+    fn line(&mut self, line: &str) {
+        self.ok = self.ok && writeln!(self.w, "{line}").is_ok();
     }
 
     fn flush(&mut self) {
@@ -140,81 +142,98 @@ impl<W: Write> Out<W> {
     }
 }
 
-fn forward<W: Write>(r: Response, conn: &mut Conn, out: &mut Out<W>, keep: bool) {
-    out.line(&mut conn.stats, &r.to_json());
-    conn.stats.responses += 1;
-    if keep {
-        conn.resps.push(r);
+/// The writer half of [`pump`]: blocks for the next response, writes it and
+/// every response already waiting behind it, and flushes once the channel
+/// is empty — a lone reply leaves at once, a burst shares one flush. Ends
+/// when every sender is gone: the reader's and each submitted job's, so
+/// when it returns every submitted request has been answered. Returns the
+/// response count and, with `keep`, the responses in arrival order.
+fn write_replies<W: Write>(
+    rx: Receiver<Response>,
+    out: &Mutex<Out<W>>,
+    keep: bool,
+) -> (u64, Vec<Response>) {
+    let (mut sent, mut kept) = (0, Vec::new());
+    while let Ok(first) = rx.recv() {
+        let mut o = lock(out);
+        for r in std::iter::once(first).chain(rx.try_iter()) {
+            o.line(&r.to_json());
+            sent += 1;
+            if keep {
+                kept.push(r);
+            }
+        }
+        o.flush();
     }
+    (sent, kept)
 }
 
 /// Streams one connection: requests in from `input`, responses out to
-/// `output` as they become ready (arrival order, not submit order).
-/// Finished responses are forwarded after each line read, so a client
-/// that waits for a reply before sending its next line sees it only at
-/// EOF. `collect` keeps the parsed requests and the responses for
-/// [`finish`] to verify.
+/// `output` as soon as each is ready (arrival order, not submit order).
+/// The calling thread reads, classifies and submits, and writes the error
+/// line of a line that never became a request; a scoped writer thread
+/// (`write_replies`) owns the responses. `collect` keeps the parsed
+/// requests and the responses for [`finish`] to verify.
 pub fn pump(
     ingress: &Ingress,
     mut input: impl BufRead,
-    output: impl Write,
+    output: impl Write + Send,
     collect: bool,
     max_line: usize,
 ) -> Conn {
     let (tx, rx) = channel::<Response>();
-    let mut conn = Conn::default();
-    let mut out = Out {
+    let out = Mutex::new(Out {
         w: output,
         ok: true,
-    };
-    let mut submitted = 0u64;
+    });
+    let mut conn = Conn::default();
     let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let verdict = match read_line_capped(&mut input, &mut buf, max_line) {
-            LineRead::Eof => break,
-            LineRead::MidLineEof => {
-                conn.stats.mid_line_eof = true;
-                break;
-            }
-            LineRead::Err(e) => {
-                eprintln!("connection read error: {e}");
-                conn.stats.io_errors += 1;
-                break;
-            }
-            LineRead::Oversized => {
-                conn.stats.oversized += 1;
-                Err(format!("request line exceeds {max_line} bytes"))
-            }
-            LineRead::Line if buf.iter().all(u8::is_ascii_whitespace) => continue,
-            LineRead::Line => classify(&buf).inspect_err(|_| conn.stats.malformed += 1),
-        };
-        conn.stats.lines += 1;
-        match verdict {
-            Ok(req) => {
-                if collect {
-                    conn.reqs.push(req.clone());
+    let (responses, resps) = std::thread::scope(|s| {
+        let writer = s.spawn(|| write_replies(rx, &out, collect));
+        loop {
+            let verdict = match read_line_capped(&mut input, &mut buf, max_line) {
+                LineRead::Eof => break,
+                LineRead::MidLineEof => {
+                    conn.stats.mid_line_eof = true;
+                    break;
                 }
-                ingress.submit_with(req, &tx);
-                submitted += 1;
+                LineRead::Err(e) => {
+                    eprintln!("connection read error: {e}");
+                    conn.stats.io_errors += 1;
+                    break;
+                }
+                LineRead::Oversized => {
+                    conn.stats.oversized += 1;
+                    Err(format!("request line exceeds {max_line} bytes"))
+                }
+                LineRead::Line if buf.iter().all(u8::is_ascii_whitespace) => continue,
+                LineRead::Line => classify(&buf).inspect_err(|_| conn.stats.malformed += 1),
+            };
+            conn.stats.lines += 1;
+            match verdict {
+                Ok(req) => {
+                    if collect {
+                        conn.reqs.push(req.clone());
+                    }
+                    ingress.submit_with(req, &tx);
+                    conn.stats.submitted += 1;
+                }
+                Err(why) => {
+                    let mut o = lock(&out);
+                    o.line(&format!("{{\"error\":{}}}", quote(&why)));
+                    o.flush();
+                }
             }
-            Err(why) => out.line(&mut conn.stats, &format!("{{\"error\":{}}}", quote(&why))),
         }
-        // Forward whatever is already done so the stream stays live.
-        while let Ok(r) = rx.try_recv() {
-            forward(r, &mut conn, &mut out, collect);
-        }
-        out.flush();
-    }
-    // Conservation drain: answer everything this connection submitted.
-    while conn.stats.responses < submitted {
-        match rx.recv() {
-            Ok(r) => forward(r, &mut conn, &mut out, collect),
-            // Workers gone — shutdown's conservation check will report it.
-            Err(_) => break,
-        }
-    }
-    out.flush();
-    conn.stats.submitted = submitted;
+        // Conservation drain: with the reader's sender gone, the channel
+        // closes once the last submitted request is answered.
+        drop(tx);
+        writer.join().expect("reply writer")
+    });
+    conn.stats.responses = responses;
+    conn.resps = resps;
+    let out = out.into_inner().unwrap_or_else(PoisonError::into_inner);
+    conn.stats.io_errors += u64::from(!out.ok);
     conn
 }
 
@@ -380,8 +399,10 @@ mod tests {
     use crate::chaos::{
         chaos_soak, chaos_stream, client_scripts, ChaosKnobs, ChaosPlan, Corruption,
     };
-    use crate::protocol::DEFAULT_MAX_LINE;
+    use crate::direct;
+    use crate::protocol::{Fields, DEFAULT_MAX_LINE};
     use crate::server::ServeConfig;
+    use optipart_scenario::Scenario;
 
     fn config(workers: usize) -> ServeConfig {
         ServeConfig {
@@ -603,6 +624,46 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("optipart-front-{}-{name}", std::process::id()));
         path.to_str().expect("UTF-8 temp dir").to_string()
+    }
+
+    /// A client that waits for each reply before it sends the next line
+    /// gets every reply: `pump` answers when a response is ready, not when
+    /// the next line arrives. The read timeout turns a withheld reply into
+    /// a failure instead of a hang.
+    #[test]
+    fn ping_pong_client_gets_each_reply_before_its_next_line() {
+        let path = temp_path("ping-pong.sock");
+        let listener = Listener::bind(&path).expect("bind");
+        let server = Server::start(config(1));
+        let ingress = server.ingress();
+        let serving =
+            std::thread::spawn(move || listener.serve(&ingress, 1, false, DEFAULT_MAX_LINE));
+        let stream = connect_retry(&path, 5000).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut replies = BufReader::new(stream.try_clone().unwrap());
+        for (id, seed) in (0..5).zip(3300..) {
+            let req = Request {
+                id,
+                scn: Scenario::from_seed(seed),
+                deadline_s: None,
+            };
+            writeln!(&stream, "{}", req.to_json()).unwrap();
+            let mut line = String::new();
+            replies
+                .read_line(&mut line)
+                .unwrap_or_else(|e| panic!("no reply to request {id} within 10 s: {e}"));
+            let f = Fields::parse(line.trim()).expect("a response line");
+            assert_eq!(f.num::<u64>("id").unwrap(), Some(id), "{line}");
+            let sig = format!("{:#018x}", direct(&req.scn).sig);
+            assert_eq!(f.str("sig").unwrap(), Some(sig.as_str()), "{line}");
+        }
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let conns = serving.join().expect("serving thread");
+        let (stats, audit) = finish(server, &conns, None);
+        audit.expect("conserved");
+        assert_eq!((stats.completed, conns[0].stats.responses), (5, 5));
     }
 
     #[test]

@@ -14,16 +14,20 @@
 //! per-connection `pump` — and [`protocol`], the wire grammar; in-process
 //! callers submit a [`Request`] directly):
 //!
-//! 1. **Shard** — [`protocol::Request::shard`] hashes the canonical
-//!    scenario key (FNV-1a over the `Scenario` display form), so repeats of
-//!    a scenario always land on the same worker and its `PartitionState`.
+//! 1. **Shard** — the canonical scenario key ([`protocol::Request::key`],
+//!    the `Scenario` display form) is formatted once, at submit, and its
+//!    FNV-1a hash picks the worker ([`protocol::Request::shard`] hashes
+//!    the same way), so repeats of a scenario always land on the same
+//!    worker and its `PartitionState`.
 //! 2. **Backpressure** — each worker has a *bounded* queue
 //!    (`ServeConfig::queue_cap`). A full queue sheds at submit time:
 //!    deterministic, deadlock-free, and every shed response carries the
 //!    request's one-line replay command.
 //! 3. **Batch** — a worker popping a request also drains every queued
 //!    request with the *same key* and serves them all with one engine pass
-//!    (`ServeConfig::batching`).
+//!    (`ServeConfig::batching`). It compares the keys stored at submit and
+//!    formats none. Each response goes back on its connection's reply
+//!    channel, and that connection's writer sends it at once.
 //! 4. **Serve** — [`run_request`] runs `optipart_with_state` on the
 //!    worker's per-`p` state under `survive_rank_death`; a fail-stop rank
 //!    death shrinks the engine and the same call is retried over the

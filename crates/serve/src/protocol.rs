@@ -39,6 +39,15 @@ pub const MAX_N: usize = 1 << 22;
 /// Largest rank count a request may ask for (the paper-scale 262,144).
 pub const MAX_P: usize = 1 << 18;
 
+/// Shard (worker index) for a scenario key: FNV-1a over its bytes, so
+/// repeats of a scenario always hit the same worker's warm
+/// `PartitionState`. Unlike `std`'s `DefaultHasher` the hash is stable
+/// across platforms and processes, which keeps shard placement and
+/// therefore batching behaviour reproducible.
+pub(crate) fn shard_of(key: &str, workers: usize) -> usize {
+    (fnv1a(key.as_bytes()) % workers.max(1) as u64) as usize
+}
+
 /// One partition request: a replayable scenario plus service metadata.
 #[derive(Clone, Debug)]
 pub struct Request {
@@ -61,15 +70,11 @@ impl Request {
         self.scn.to_string()
     }
 
-    /// Shard (worker index) for this request: FNV-1a over [`key`], so
-    /// repeats of a scenario always hit the same worker's warm
-    /// `PartitionState`. Unlike `std`'s `DefaultHasher` the hash is stable
-    /// across platforms and processes, which keeps shard placement and
-    /// therefore batching behaviour reproducible.
+    /// Shard (worker index) for this request: `shard_of` its [`key`].
     ///
     /// [`key`]: Request::key
     pub fn shard(&self, workers: usize) -> usize {
-        (fnv1a(self.key().as_bytes()) % workers.max(1) as u64) as usize
+        shard_of(&self.key(), workers)
     }
 
     /// Canonical wire form (all scenario fields spelled out).

@@ -18,11 +18,12 @@
 //!
 //! Batching: the worker pops the queue head, then (with
 //! [`ServeConfig::batching`]) drains every queued request with the same
-//! scenario key and answers them all from one engine pass. Under
-//! [`Server::pause`]/[`Server::release`] the queue contents at release time
-//! are exactly the submitted burst, which makes batch composition — and
-//! therefore pass counts, warm stats and allocation counts — fully
-//! deterministic; the bench kernels and tests rely on this.
+//! scenario key and answers them all from one engine pass. The key is
+//! formatted once per request, at submit, and stored on its queued job.
+//! Under [`Server::pause`]/[`Server::release`] the queue contents at
+//! release time are exactly the submitted burst, which makes batch
+//! composition — and therefore pass counts, warm stats and allocation
+//! counts — fully deterministic; the bench kernels and tests rely on this.
 //!
 //! # Crash isolation and request conservation
 //!
@@ -50,7 +51,7 @@
 //! queue mutex must not cascade into every other thread.
 
 use crate::chaos::{panic_summary, PanicPoint, PanicSchedule};
-use crate::protocol::{Request, Response, Status, WarmPath};
+use crate::protocol::{shard_of, Request, Response, Status, WarmPath};
 use crate::run_request;
 use optipart_core::optipart::{PartitionState, WarmStats, DEFAULT_STATE_CAP};
 use optipart_mpisim::Engine;
@@ -67,7 +68,7 @@ use std::time::Instant;
 /// under every mutex here (queues, counters) stays structurally valid across
 /// a panic, and crash isolation must not turn one panic into a poison
 /// cascade.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
@@ -226,6 +227,9 @@ pub enum Admit {
 
 struct Job {
     req: Request,
+    /// [`Request::key`], formatted once at submit: it picks the shard and
+    /// is what batching compares.
+    key: String,
     /// Coarse virtual-time estimate ([`crate::estimate_virtual_s`]), fixed
     /// at submit so backlog sums are a pure function of queue contents.
     est: f64,
@@ -284,7 +288,8 @@ impl Ingress {
     /// per call either way.
     pub fn submit_with(&self, req: Request, reply: &Sender<Response>) -> Admit {
         let shared = &self.shared;
-        let w = req.shard(shared.cfg.workers);
+        let key = req.key();
+        let w = shard_of(&key, shared.cfg.workers);
         let est = crate::estimate_virtual_s(&req.scn);
         let decision = {
             let mut st = lock(&shared.queues[w].m);
@@ -305,6 +310,7 @@ impl Ingress {
                     None => {
                         st.q.push_back(Job {
                             req,
+                            key,
                             est,
                             enqueued: Instant::now(),
                             reply: reply.clone(),
@@ -571,12 +577,12 @@ fn next_batch(shared: &Shared, idx: usize) -> Option<Scenario> {
     }
     let head = st.q.pop_front().expect("queue non-empty");
     let scn = head.req.scn.clone();
-    let key = head.req.key();
+    let at = st.in_flight.len();
     st.in_flight.push(head);
     if shared.cfg.batching {
         let mut rest = VecDeque::with_capacity(st.q.len());
         while let Some(job) = st.q.pop_front() {
-            if job.req.key() == key {
+            if job.key == st.in_flight[at].key {
                 st.in_flight.push(job);
             } else {
                 rest.push_back(job);

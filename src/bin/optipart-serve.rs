@@ -132,7 +132,7 @@ fn cmd_serve(f: &Flags) {
         None => vec![pump(
             &ingress,
             std::io::stdin().lock(),
-            BufWriter::new(std::io::stdout().lock()),
+            BufWriter::new(std::io::stdout()),
             verify,
             max_line,
         )],
