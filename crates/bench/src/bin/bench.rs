@@ -108,11 +108,6 @@ fn cmd_run(args: &[String]) -> i32 {
             derived.insert("treesort_speedup_vs_reference".to_string(), reference / opt);
         }
     }
-    if let (Some(par_t), Some(seq)) = (ns_of("treesort_par"), ns_of("treesort_seq")) {
-        if par_t > 0.0 {
-            derived.insert("treesort_parallel_speedup".to_string(), seq / par_t);
-        }
-    }
     if let (Some(warm), Some(cold)) = (ns_of("optipart_amr_loop_warm"), ns_of("optipart_ladder")) {
         if warm > 0.0 {
             derived.insert("optipart_warm_amortized_speedup".to_string(), cold / warm);
@@ -253,15 +248,13 @@ fn cmd_compare(args: &[String]) -> i32 {
             return 2;
         }
     };
-    // Host-capability sanity: parallel-speedup figures (e.g.
-    // treesort_parallel_speedup) recorded on hosts with different core
-    // counts are not comparable — warn, don't gate (times are already
-    // covered by --allocs-only for cross-machine compares).
+    // Host-capability sanity: throughput figures recorded on hosts with
+    // different core counts are not comparable — warn, don't gate (times
+    // are already covered by --allocs-only for cross-machine compares).
     if base.cores != 0 && cur.cores != 0 && base.cores != cur.cores {
         println!(
             "warning: baseline was recorded on a {}-core host, current on {}-core — \
-             parallel-speedup figures (treesort_parallel_speedup, serve throughput) \
-             are not comparable across core counts",
+             serve throughput is not comparable across core counts",
             base.cores, cur.cores
         );
     } else if base.cores == 0 || cur.cores == 0 {

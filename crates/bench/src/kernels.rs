@@ -23,11 +23,11 @@ use optipart_fem::amr::{step_mesh, AmrConfig};
 use optipart_fem::{laplacian_matvec, repartition_sequence, DistMesh};
 use optipart_machine::{AppModel, MachineModel, PerfModel};
 use optipart_mpisim::rng::{self, SplitMix64};
-use optipart_mpisim::{par, AllToAllAlgo, AlltoallvArena, DistVec, Engine};
+use optipart_mpisim::{AllToAllAlgo, AlltoallvArena, DistVec, Engine};
 use optipart_octree::{sample_points, tree_from_points, Distribution, MeshParams};
 use optipart_serve::soak::mixed_stream;
 use optipart_serve::{ServeConfig, Server};
-use optipart_sfc::{Cell3, Curve, KeyedCell, SfcKey, MAX_DEPTH};
+use optipart_sfc::{Cell3, Curve, KeyedCell, SfcKey};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -84,31 +84,7 @@ pub fn registry() -> Vec<Kernel> {
                     elements,
                     run: Box::new(move || {
                         a.copy_from_slice(&input);
-                        treesort_scoped(&mut a, &mut scratch, 0, MAX_DEPTH, 1);
-                        checksum_cells(&a)
-                    }),
-                }
-            },
-        },
-        Kernel {
-            name: "treesort_par",
-            group: "treesort",
-            full_n: 100_000,
-            tiny_n: 3_000,
-            build: |n| {
-                let input = shuffled(n, Curve::Hilbert);
-                let elements = input.len() as u64;
-                let mut a = input.clone();
-                // Persistent scratch: the warmup iteration grows it once,
-                // after which the parallel sort is allocation-free (the
-                // worker pool is persistent and fans out on stack arrays).
-                let mut scratch: Vec<KeyedCell<3>> = Vec::new();
-                let threads = par::num_threads();
-                Prepared {
-                    elements,
-                    run: Box::new(move || {
-                        a.copy_from_slice(&input);
-                        treesort_scoped(&mut a, &mut scratch, 0, MAX_DEPTH, threads);
+                        treesort_scoped(&mut a, &mut scratch);
                         checksum_cells(&a)
                     }),
                 }

@@ -224,8 +224,8 @@ where
 /// Runs on the persistent worker pool: chunk descriptors live on this
 /// stack frame, chunk 0 (and any chunk no idle worker picks up) runs on
 /// the caller, and the only heap allocation is the result vector — zero
-/// allocations when `R` is zero-sized, which is what makes the parallel
-/// TreeSort fan-out allocation-free in steady state.
+/// allocations when `R` is zero-sized, as in Algorithm 2's neighbour-key
+/// fill.
 pub fn par_map_mut_n<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
 where
     T: Send,

@@ -20,8 +20,8 @@
 //!   measured time scaled exactly, down to the trace attribution's byte
 //!   counters.
 //! * [`thread_count_invariance`] — the worker-thread budget is a pure
-//!   execution detail: TreeSort and the fork–join primitive underneath the
-//!   engine produce bit-identical output at 1 and 4 threads (the CI
+//!   execution detail: the fork–join primitive underneath the engine
+//!   produces bit-identical output at 1, 2 and 4 threads (the CI
 //!   determinism matrix additionally runs the whole suite under both
 //!   `RAYON_NUM_THREADS` values).
 //! * [`warm_state_fallback`] — a corrupted or stale [`PartitionState`] is
@@ -45,7 +45,6 @@ use optipart_core::partition::{
     distribute_shuffled, distribute_tree, treesort_partition, PartitionOptions, PartitionOutcome,
 };
 use optipart_core::quality::partition_quality;
-use optipart_core::treesort::treesort_scoped;
 use optipart_core::{optipart, OptiPartOptions};
 use optipart_mpisim::par::par_map_mut_n;
 use optipart_mpisim::rng::SplitMix64;
@@ -446,36 +445,12 @@ pub fn tolerance_monotonicity(scn: &Scenario) {
     }
 }
 
-/// The thread budget must never leak into results. Checked with *explicit*
-/// budgets (`par_map_mut_n`, [`treesort_scoped`]) so the property is
-/// deterministic regardless of the environment the test runs under; the CI
-/// determinism matrix covers the `RAYON_NUM_THREADS` env path by running
-/// the whole tier-1 suite at 1 and 4 threads.
+/// The thread budget must never leak into results. Checked with an
+/// *explicit* budget (`par_map_mut_n`) so the property is deterministic
+/// regardless of the environment the test runs under; the CI determinism
+/// matrix covers the `RAYON_NUM_THREADS` env path by running the whole
+/// tier-1 suite at 1 and 4 threads.
 pub fn thread_count_invariance(scn: &Scenario) {
-    let tree = scn.build_tree();
-    let mut cells: Vec<KeyedCell<3>> = tree.leaves().to_vec();
-    if cells.is_empty() {
-        return;
-    }
-    SplitMix64::new(scn.shuffle_seed(15)).shuffle(&mut cells);
-    // Tile past the parallel-recursion cutoff so the multi-threaded sort
-    // actually fans out (fuzz meshes alone stay below it).
-    while cells.len() <= optipart_core::treesort::PAR_CUTOFF {
-        let copy = cells.clone();
-        cells.extend_from_slice(&copy);
-    }
-    let mut expected = cells.clone();
-    treesort_scoped(&mut expected, &mut Vec::new(), 0, MAX_DEPTH, 1);
-    for threads in [2usize, 4] {
-        let mut a = cells.clone();
-        treesort_scoped(&mut a, &mut Vec::new(), 0, MAX_DEPTH, threads);
-        tk_assert!(
-            scn,
-            a == expected,
-            "treesort output changed between 1 and {threads} threads ({} cells)",
-            cells.len()
-        );
-    }
     // The fork–join primitive the engine's compute phases are built on:
     // per-rank buffers mutated under different budgets must stitch back
     // bit-identically.

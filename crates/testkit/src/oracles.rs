@@ -7,7 +7,7 @@
 //! | [`optipart_bruteforce`] | OptiPart's stopping point minimises Eq. (3) (Alg. 3) | brute-force sweep over the induced tolerance grid |
 //! | [`samplesort_equivalence`] | SampleSort ≡ TreeSort as a sorting network (§5.2) | multiset/order equality of outputs |
 //! | [`fault_recovery`] | faults never corrupt data; fail-stop recovery is exact | fault-free runs of the same scenario |
-//! | [`treesort_optimized`] | the ping-pong/parallel TreeSort is a pure optimisation | bit-identity vs the retained `treesort_reference` |
+//! | [`treesort_optimized`] | the ping-pong TreeSort is a pure optimisation | bit-identity vs the retained `treesort_reference` |
 //! | [`warm_vs_cold`] | the warm-started tolerance ladder is a pure optimisation | a cold ladder run on every step of the same AMR loop |
 //! | [`serve_vs_library`] | optipart-serve responses are bit-identical to direct calls | [`optipart_serve::direct`] on a fresh engine and state |
 //! | [`sparse_vs_dense_collectives`] | the flat-arena and routed (`_by`) all-to-alls are pure optimisations | the dense p×p `Engine::alltoallv` (the `reference` feature) |
@@ -26,16 +26,14 @@ use optipart_core::partition::{
 };
 use optipart_core::quality::partition_quality;
 use optipart_core::samplesort::samplesort_partition;
-use optipart_core::treesort::{
-    treesort, treesort_levels_reference, treesort_reference, treesort_scoped, PAR_CUTOFF,
-};
+use optipart_core::treesort::{treesort, treesort_reference, treesort_scoped};
 use optipart_core::{optipart, OptiPartOptions};
 use optipart_fem::amr::{step_mesh, AmrConfig};
 use optipart_fem::{run_matvec_ft, DistMesh};
 use optipart_mpisim::rng::SplitMix64;
-use optipart_mpisim::{par, AllToAllAlgo, AlltoallvArena, CheckpointPolicy, Engine, FaultPlan};
+use optipart_mpisim::{AllToAllAlgo, AlltoallvArena, CheckpointPolicy, Engine, FaultPlan};
 use optipart_octree::LinearTree;
-use optipart_sfc::{KeyedCell, SfcKey, MAX_DEPTH};
+use optipart_sfc::{KeyedCell, SfcKey};
 
 /// The registry the soak driver and the tier-1 harness iterate over.
 pub const ORACLES: &[NamedCheck] = &[
@@ -332,14 +330,14 @@ pub fn sparse_vs_dense_collectives(scn: &Scenario) {
 }
 
 /// **Oracle 5 — optimised TreeSort vs retained reference.** The hot-path
-/// rework (single ping-pong scratch, parallel child-bucket recursion,
-/// small-sort cutoffs) must be a *pure* optimisation: every public entry
-/// point produces output bit-identical to the pre-optimisation
-/// implementation retained as `treesort_reference`.
+/// rework (single ping-pong scratch, small-sort cutoff) must be a *pure*
+/// optimisation: both public entry points produce output bit-identical to
+/// the pre-optimisation implementation retained as `treesort_reference`.
 ///
-/// Fuzz-scale meshes sit below [`PAR_CUTOFF`], so the scenario's shuffled
-/// leaves are additionally tiled just past the cutoff — the parallel
-/// fan-out and its boundary both run on every scenario.
+/// The scenario's shuffled leaves are sorted as they are and tiled twice,
+/// so duplicate keys are compared too. One caller scratch serves both
+/// inputs, larger one first, so the second sort reuses a scratch longer
+/// than its input.
 pub fn treesort_optimized(scn: &Scenario) {
     let tree = scn.build_tree();
     let mut base: Vec<KeyedCell<3>> = tree.leaves().to_vec();
@@ -347,44 +345,26 @@ pub fn treesort_optimized(scn: &Scenario) {
         return;
     }
     SplitMix64::new(scn.shuffle_seed(14)).shuffle(&mut base);
-    let mut tiled = base.clone();
-    while tiled.len() <= PAR_CUTOFF {
-        tiled.extend_from_slice(&base);
-    }
-    for (what, input) in [("raw", &base), ("tiled", &tiled)] {
+    let tiled = [base.as_slice(), base.as_slice()].concat();
+    let mut scratch = Vec::new();
+    for (what, input) in [("tiled", &tiled), ("raw", &base)] {
         let mut expected = input.clone();
         treesort_reference(&mut expected);
-        for threads in [1usize, 4] {
-            let mut a = input.clone();
-            treesort_scoped(&mut a, &mut Vec::new(), 0, MAX_DEPTH, threads);
-            tk_assert!(
-                scn,
-                a == expected,
-                "{what} input ({} cells): treesort at {threads} threads diverged from reference",
-                input.len()
-            );
-        }
         let mut a = input.clone();
-        let mut scratch = Vec::new();
-        treesort_scoped(&mut a, &mut scratch, 0, MAX_DEPTH, par::num_threads());
+        treesort(&mut a);
+        tk_assert!(
+            scn,
+            a == expected,
+            "{what} input ({} cells): treesort diverged from reference",
+            input.len()
+        );
+        let mut a = input.clone();
+        treesort_scoped(&mut a, &mut scratch);
         tk_assert!(
             scn,
             a == expected,
             "{what} input: treesort with caller scratch diverged from reference"
         );
-        // Windowed partial sorts must match too (the distributed variant
-        // sorts level ranges).
-        for (l1, l2) in [(0u8, 3u8), (0, 6)] {
-            let mut a = input.clone();
-            treesort_scoped(&mut a, &mut scratch, l1, l2, par::num_threads());
-            let mut b = input.clone();
-            treesort_levels_reference(&mut b, l1, l2);
-            tk_assert!(
-                scn,
-                a == b,
-                "{what} input: treesort over levels [{l1}, {l2}) diverged from reference"
-            );
-        }
     }
 }
 

@@ -1,13 +1,13 @@
 //! Tier-1 smoke of the bench layer: every kernel in the registry builds
 //! and runs at tiny N — no timing assertions, just "bench code cannot
 //! bit-rot". Also pins the properties `bench compare` relies on:
-//! per-kernel determinism across iterations and thread-budget invariance
-//! of the treesort checksums.
+//! per-kernel determinism across iterations and agreement of the treesort
+//! checksums.
 
 use optipart_bench::kernels::{self, checksum_cells, shuffled};
 use optipart_bench::report::{compare_reports, KernelResult, Report};
 use optipart_core::treesort::{treesort_reference, treesort_scoped};
-use optipart_sfc::{Curve, MAX_DEPTH};
+use optipart_sfc::Curve;
 
 /// Every registry kernel runs at tiny N and returns the same checksum on
 /// consecutive iterations (the determinism `bench compare` gates on).
@@ -28,23 +28,17 @@ fn every_kernel_runs_and_is_deterministic_at_tiny_n() {
     }
 }
 
-/// The treesort kernel family computes the same permutation: optimised
-/// (any thread budget) and reference checksums agree on the bench input.
+/// The treesort kernel family computes the same permutation: optimised,
+/// reference and comparison-sort checksums agree on the bench input.
 #[test]
 fn treesort_kernel_checksums_agree_across_variants() {
     let input = shuffled(3_000, Curve::Hilbert);
     let mut reference = input.clone();
     treesort_reference(&mut reference);
     let expected = checksum_cells(&reference);
-    for threads in [1usize, 2, 4] {
-        let mut a = input.clone();
-        treesort_scoped(&mut a, &mut Vec::new(), 0, MAX_DEPTH, threads);
-        assert_eq!(
-            checksum_cells(&a),
-            expected,
-            "treesort checksum diverged at {threads} threads"
-        );
-    }
+    let mut a = input.clone();
+    treesort_scoped(&mut a, &mut Vec::new());
+    assert_eq!(checksum_cells(&a), expected, "treesort checksum diverged");
     let mut std_sorted = input.clone();
     std_sorted.sort_unstable();
     assert_eq!(
@@ -93,7 +87,8 @@ fn compare_gate_trips_on_injected_regression() {
 /// The committed reports survive the reader and the writer: parse →
 /// serialise → parse is the identity on `BENCH_vm.json`, and the committed
 /// baseline compares clean against itself (the reader feeds the gate the
-/// same numbers the writer recorded).
+/// same numbers the writer recorded). Both name exactly the registry's
+/// kernels, in its order: a deleted kernel leaves no stale row behind.
 #[test]
 fn committed_reports_round_trip_through_the_codec() {
     let read = |name: &str| {
@@ -101,10 +96,14 @@ fn committed_reports_round_trip_through_the_codec() {
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
         Report::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
     };
+    let registry: Vec<&str> = kernels::registry().iter().map(|k| k.name).collect();
+    let names = |r: &Report| r.kernels.iter().map(|k| k.name.clone()).collect::<Vec<_>>();
     let vm = read("BENCH_vm.json");
-    assert!(vm.kernels.len() >= 20 && !vm.derived.is_empty());
+    assert_eq!(names(&vm), registry, "BENCH_vm.json");
+    assert!(!vm.derived.is_empty());
     assert_eq!(Report::from_json(&vm.to_json()), Ok(vm));
     let baseline = read("BENCH_baseline.json");
+    assert_eq!(names(&baseline), registry, "BENCH_baseline.json");
     assert_eq!(
         compare_reports(&baseline, &baseline, 10.0, false),
         [],
