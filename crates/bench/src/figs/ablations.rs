@@ -6,9 +6,9 @@
 //! * **Staged splitter selection** (Eq. 2): sweep the per-round splitter cap
 //!   `k` and measure splitter-phase time and rounds. The paper's argument:
 //!   `k ≤ p` trades more rounds for cheaper reductions, `(ts + tw·k)·log p`.
-//! * **Staged vs direct all-to-all** (§3.1): the same exchange under both
-//!   schedules across `p`, showing where the staged variant's latency
-//!   advantage overtakes its bandwidth overhead.
+//! * **Hypercube-staged vs direct all-to-all** (§3.1): the same exchange
+//!   under both schedules across `p`, showing where staging's latency
+//!   advantage overtakes the volume it forwards through intermediate ranks.
 //! * **Curve choice at fixed tolerance**: Hilbert vs Morton partition
 //!   quality (Cmax, NNZ) at the OptiPart-chosen operating point.
 
@@ -55,18 +55,14 @@ pub fn run_staging(cfg: &RunConfig) {
     table.emit(cfg);
 }
 
-/// Staged vs direct all-to-all across p.
+/// Hypercube-staged vs direct all-to-all across p.
 pub fn run_alltoall(cfg: &RunConfig) {
     let grain = cfg.n(1_000, 100);
     let mut table = Table::new("ablation_alltoall_schedule", &["p", "algo", "all2all_s"]);
     eprintln!("ablation: all-to-all schedule, grain = {grain}");
     for p in [16usize, 128, 1024] {
         let tree = mesh(grain * p, cfg.seed, Curve::Hilbert);
-        for algo in [
-            AllToAllAlgo::Direct,
-            AllToAllAlgo::Staged,
-            AllToAllAlgo::Hypercube,
-        ] {
+        for algo in [AllToAllAlgo::Direct, AllToAllAlgo::Hypercube] {
             let mut e = engine(MachineModel::titan(), p);
             let _ = treesort_partition(
                 &mut e,

@@ -259,6 +259,14 @@ mod tests {
     }
 
     #[test]
+    fn load_imbalance_cases() {
+        assert_eq!(load_imbalance(&[2, 2]), 1.0);
+        assert_eq!(load_imbalance(&[3, 1]), 3.0);
+        assert!(load_imbalance(&[1, 0]).is_infinite());
+        assert_eq!(load_imbalance(&[0, 0, 0, 0]), 1.0);
+    }
+
+    #[test]
     fn boundary_counts_bounded_by_partition_counts() {
         let (tree, splitters) = partitioned(3000, 8, Curve::Hilbert, 0.0);
         let assign = assignment(&tree, &splitters);

@@ -11,6 +11,7 @@
 //! Algorithm 3 minus the performance-model stopping rule (recovered by
 //! "iterating till the work is equally divided", as the paper notes).
 
+use crate::metrics::load_imbalance;
 use crate::treesort::treesort;
 use optipart_mpisim::rng::SplitMix64;
 use optipart_mpisim::{AllToAllAlgo, DistVec, Engine, Wire};
@@ -105,12 +106,13 @@ impl PartitionReport {
     /// The report of a delivered partition: counts, λ and `Wmax` come from
     /// `out` itself, the rest from the search that chose the splitters.
     pub(crate) fn new<const D: usize>(out: &DistVec<KeyedCell<D>>, search: SearchSummary) -> Self {
+        let counts: Vec<u64> = out.counts().iter().map(|&c| c as u64).collect();
         PartitionReport {
             rounds: search.rounds,
             splitter_level: search.splitter_level,
             achieved_tolerance: search.achieved_tolerance,
-            counts: out.counts().iter().map(|&c| c as u64).collect(),
-            lambda: out.load_imbalance(),
+            lambda: load_imbalance(&counts),
+            counts,
             wmax: out.wmax() as u64,
             cmax: search.cmax,
             predicted_tp: search.predicted_tp,

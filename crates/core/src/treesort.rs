@@ -109,9 +109,12 @@ fn sort_in_place<const D: usize>(a: &mut [KeyedCell<D>], scratch: &mut [KeyedCel
     }
     let nb = (1usize << D) + 1;
     let offsets = scatter(a, scratch, l);
-    // Parked ancestors come home and order among themselves by (path, level).
+    // Parked ancestors come home. No sort: a shallower cell was parked at
+    // its own level, so at level `l` they are all copies of one cell.
     a[offsets[0]..offsets[1]].copy_from_slice(&scratch[offsets[0]..offsets[1]]);
-    a[offsets[0]..offsets[1]].sort_unstable();
+    debug_assert!(a[offsets[0]..offsets[1]]
+        .windows(2)
+        .all(|w| w[0].key == w[1].key));
     // Child buckets now live in `scratch`; each recursion sorts one back
     // into its `a` slice (line 14 of Algorithm 1, roles swapped per level).
     for i in 1..nb {
@@ -135,7 +138,10 @@ fn sort_out_of_place<const D: usize>(src: &mut [KeyedCell<D>], dst: &mut [KeyedC
     }
     let nb = (1usize << D) + 1;
     let offsets = scatter(src, dst, l);
-    dst[offsets[0]..offsets[1]].sort_unstable();
+    // Parked cells are copies of one cell (see `sort_in_place`): no sort.
+    debug_assert!(dst[offsets[0]..offsets[1]]
+        .windows(2)
+        .all(|w| w[0].key == w[1].key));
     for i in 1..nb {
         let (s, e) = (offsets[i], offsets[i + 1]);
         if e > s {

@@ -32,28 +32,17 @@ pub enum AllToAllAlgo {
     /// Direct pairwise exchange: one message per non-empty destination.
     /// Latency-bound for large `p` with small payloads.
     Direct,
-    /// Staged/Bruck-style exchange (the paper's §3.1: "the all-to-all
+    /// Hypercube-staged exchange (the paper's §3.1: "the all-to-all
     /// exchange is also performed in a staged manner similar to [4, 34],
-    /// avoiding potential network congestion"): `log p` rounds, each payload
-    /// forwarded through intermediate ranks — fewer messages, slightly more
-    /// volume. Modeled with a flat volume-overhead factor.
-    Staged,
-    /// Hypercube-staged exchange (the HykSort lineage behind the paper's
+    /// avoiding potential network congestion"; the HykSort lineage behind
     /// TreeSort): `ceil(log2 p)` stages, stage `k` pairing every rank `r`
     /// with `(r + 2^k) mod p`. A payload headed `off = (dst - src) mod p`
     /// ranks away moves exactly at the stages where bit `k` of `off` is
     /// set, so each rank holds O(active routes + log p) staging state and
-    /// the charged volume is the *actual* per-stage forwarded traffic, not
-    /// a modeled overhead factor. Ranks with no traffic at a stage pay
-    /// nothing.
+    /// the charged volume is the *actual* per-stage forwarded traffic.
+    /// Ranks with no traffic at a stage pay nothing.
     Hypercube,
 }
-
-/// Bandwidth overhead of staged forwarding (payloads traverse ~1.25 hops on
-/// average under radix-2 staging of typical AMR traffic). Applies to
-/// [`AllToAllAlgo::Staged`] only — [`AllToAllAlgo::Hypercube`] charges the
-/// exact forwarded volume instead.
-const STAGED_VOLUME_OVERHEAD: f64 = 1.25;
 
 /// Number of hypercube stages for `p` ranks: `ceil(log2 p)`, 0 when `p ≤ 1`
 /// (a lone rank has nobody to exchange with).
@@ -338,7 +327,6 @@ impl Engine {
         // accumulated during the staging walk itself.
         self.stats.msgs_total += match algo {
             AllToAllAlgo::Direct => s.out_msgs[..p].iter().sum(),
-            AllToAllAlgo::Staged => p as u64 * self.log_p() as u64,
             AllToAllAlgo::Hypercube => 0,
         };
 
@@ -348,31 +336,23 @@ impl Engine {
         self.collective_seq += 1;
         let plan = self.faults.as_ref().map(|(plan, _)| plan.clone());
         match (algo, staging) {
+            (AllToAllAlgo::Direct, _) => self.direct_costs(ts, s),
             (AllToAllAlgo::Hypercube, Staging::ClosedForm) => self.stage_costs_hypercube(ts, s),
             #[cfg(any(test, feature = "reference"))]
             (AllToAllAlgo::Hypercube, Staging::Walked) => {
                 self.stage_costs_hypercube_reference(ts, s)
             }
-            _ => self.flat_costs(algo, ts, s),
         }
         self.finish_alltoall(t0, seq, &plan, s);
         total_bytes
     }
 
-    /// Direct/Staged per-rank base costs into `s.cost`.
-    fn flat_costs(&mut self, algo: AllToAllAlgo, ts: f64, s: &mut CollectiveScratch) {
-        let logp = self.log_p();
+    /// Direct per-rank base costs into `s.cost`: one latency per message
+    /// sent or received, plus the larger of the rank's send/recv volumes.
+    fn direct_costs(&mut self, ts: f64, s: &mut CollectiveScratch) {
         for r in 0..self.p {
             let vol = s.send_bytes[r].max(s.recv_bytes[r]) as f64;
-            s.cost[r] = match algo {
-                AllToAllAlgo::Direct => {
-                    ts * (s.out_msgs[r] + s.in_msgs[r]) as f64 + self.effective_tw(r) * vol
-                }
-                AllToAllAlgo::Staged => {
-                    ts * logp + self.effective_tw(r) * vol * STAGED_VOLUME_OVERHEAD
-                }
-                AllToAllAlgo::Hypercube => unreachable!("hypercube costs are staged"),
-            };
+            s.cost[r] = ts * (s.out_msgs[r] + s.in_msgs[r]) as f64 + self.effective_tw(r) * vol;
         }
     }
 
@@ -586,13 +566,6 @@ impl Engine {
         contrib.iter().sum()
     }
 
-    /// `MPI_Allreduce(MAX)` over one `u64` per rank.
-    pub fn allreduce_max_u64(&mut self, contrib: &[u64]) -> u64 {
-        assert_eq!(contrib.len(), self.p);
-        self.charge_tree_collective("allreduce", 8);
-        contrib.iter().copied().max().unwrap_or(0)
-    }
-
     /// `MPI_Allreduce(MAX)` over one `f64` per rank.
     pub fn allreduce_max_f64(&mut self, contrib: &[f64]) -> f64 {
         assert_eq!(contrib.len(), self.p);
@@ -674,8 +647,8 @@ impl Engine {
     /// `MPI_Alltoallv`: `send[src][dst]` buffers are delivered as
     /// `recv[dst][src]`.
     ///
-    /// Per-rank cost: latency per message (Direct), per stage (Staged /
-    /// Hypercube), plus slowness × the rank's traffic volumes. Records the
+    /// Per-rank cost: latency per message (Direct) or per active stage
+    /// (Hypercube), plus slowness × the rank's traffic volumes. Records the
     /// communication matrix when enabled.
     ///
     /// This dense `p × p` entry point is the *differential reference* for
@@ -914,11 +887,7 @@ mod tests {
     use crate::dist::DistVec;
     use optipart_machine::{AppModel, MachineModel, PerfModel};
 
-    const ALL_ALGOS: [AllToAllAlgo; 3] = [
-        AllToAllAlgo::Direct,
-        AllToAllAlgo::Staged,
-        AllToAllAlgo::Hypercube,
-    ];
+    const ALL_ALGOS: [AllToAllAlgo; 2] = [AllToAllAlgo::Direct, AllToAllAlgo::Hypercube];
 
     fn engine(p: usize) -> Engine {
         Engine::new(
@@ -931,10 +900,9 @@ mod tests {
     fn allreduce_sum_and_max() {
         let mut e = engine(4);
         assert_eq!(e.allreduce_sum_u64(&[1, 2, 3, 4]), 10);
-        assert_eq!(e.allreduce_max_u64(&[1, 9, 3, 4]), 9);
         assert_eq!(e.allreduce_max_f64(&[0.5, -1.0, 2.5, 0.0]), 2.5);
         assert!(e.makespan() > 0.0);
-        assert_eq!(e.stats().collectives, 3);
+        assert_eq!(e.stats().collectives, 2);
     }
 
     #[test]
@@ -982,26 +950,9 @@ mod tests {
     }
 
     #[test]
-    fn staged_beats_direct_for_many_small_messages() {
-        // p=64, every rank sends 1 element to every other rank: Direct pays
-        // 126 latencies per rank, Staged pays log2(64)=6.
-        let p = 64;
-        let make_send = || -> Vec<Vec<Vec<u64>>> {
-            (0..p)
-                .map(|_| (0..p).map(|_| vec![1u64]).collect())
-                .collect()
-        };
-        let mut e1 = engine(p);
-        let _ = e1.alltoallv(make_send(), AllToAllAlgo::Direct);
-        let mut e2 = engine(p);
-        let _ = e2.alltoallv(make_send(), AllToAllAlgo::Staged);
-        assert!(e2.makespan() < e1.makespan());
-    }
-
-    #[test]
     fn hypercube_beats_direct_for_many_small_messages() {
-        // Same latency argument as Staged: 6 stage latencies per rank
-        // instead of 126 per-message latencies.
+        // p=64, every rank sends 1 element to every other rank: Direct pays
+        // 126 per-message latencies per rank, Hypercube 6 stage latencies.
         let p = 64;
         let make_send = || -> Vec<Vec<Vec<u64>>> {
             (0..p)
@@ -1016,19 +967,23 @@ mod tests {
     }
 
     #[test]
-    fn direct_beats_staged_for_bulk_pairs() {
-        // Two ranks exchanging big buffers: staging only adds volume.
-        let p = 2;
+    fn direct_beats_hypercube_for_multi_hop_bulk_pairs() {
+        // Ranks 0 and 3 of 4 swap big buffers. Offset 3 has two bits set,
+        // so the hypercube forwards each buffer through an intermediate
+        // rank and charges the volume twice; direct moves it once. (At
+        // p = 2 the hypercube's single stage would win: it overlaps the
+        // two directions where direct charges two message latencies.)
+        let p = 4;
         let make_send = || -> Vec<Vec<Vec<u64>>> {
-            vec![
-                vec![vec![], vec![0u64; 100_000]],
-                vec![vec![0u64; 100_000], vec![]],
-            ]
+            let mut send: Vec<Vec<Vec<u64>>> = vec![vec![vec![]; p]; p];
+            send[0][3] = vec![0u64; 100_000];
+            send[3][0] = vec![0u64; 100_000];
+            send
         };
         let mut e1 = engine(p);
         let _ = e1.alltoallv(make_send(), AllToAllAlgo::Direct);
         let mut e2 = engine(p);
-        let _ = e2.alltoallv(make_send(), AllToAllAlgo::Staged);
+        let _ = e2.alltoallv(make_send(), AllToAllAlgo::Hypercube);
         assert!(e1.makespan() < e2.makespan());
     }
 
@@ -1087,11 +1042,8 @@ mod tests {
                 (0..4).map(|_| (0..4).map(|_| vec![]).collect()).collect();
             let _ = e.alltoallv(send, algo);
             assert_eq!(e.stats().bytes_total, 0);
-            if algo != AllToAllAlgo::Staged {
-                // No messages, no latency (Staged charges its stage
-                // latencies even to idle ranks — modeled, not staged).
-                assert_eq!(e.makespan(), 0.0, "{algo:?}");
-            }
+            // No messages, no latency.
+            assert_eq!(e.makespan(), 0.0, "{algo:?}");
         }
     }
 
@@ -1152,13 +1104,13 @@ mod tests {
     }
 
     #[test]
-    fn staged_and_direct_deliver_identical_data() {
+    fn hypercube_and_direct_deliver_identical_data() {
         // The schedule changes clocks and message counts — never payloads.
         let p = 9;
         let mut e1 = engine(p);
         let r1 = e1.alltoallv(tagged_send(p), AllToAllAlgo::Direct);
         let mut e2 = engine(p);
-        let r2 = e2.alltoallv(tagged_send(p), AllToAllAlgo::Staged);
+        let r2 = e2.alltoallv(tagged_send(p), AllToAllAlgo::Hypercube);
         assert_eq!(r1, r2);
         assert_eq!(e1.stats().bytes_total, e2.stats().bytes_total);
         assert_ne!(e1.stats().msgs_total, e2.stats().msgs_total);
@@ -1351,7 +1303,7 @@ mod tests {
     #[test]
     fn transient_failures_cost_time_and_count_retries() {
         use crate::faults::FaultPlan;
-        for algo in [AllToAllAlgo::Staged, AllToAllAlgo::Hypercube] {
+        for algo in ALL_ALGOS {
             let p = 8;
             let run = |plan: Option<FaultPlan>| {
                 let mut e = Engine::new(

@@ -64,22 +64,6 @@ impl<T> DistVec<T> {
         self.ranks.iter().map(Vec::len).collect()
     }
 
-    /// Load imbalance `λ = max|Wr| / min|Wr|` (Table 1 / §3.2).
-    ///
-    /// Returns `f64::INFINITY` when some rank is empty but others are not;
-    /// 1.0 for a perfectly balanced (or entirely empty) distribution.
-    pub fn load_imbalance(&self) -> f64 {
-        let max = self.ranks.iter().map(Vec::len).max().unwrap_or(0);
-        let min = self.ranks.iter().map(Vec::len).min().unwrap_or(0);
-        if max == 0 {
-            1.0
-        } else if min == 0 {
-            f64::INFINITY
-        } else {
-            max as f64 / min as f64
-        }
-    }
-
     /// Maximum local count — the `Wmax` of the performance model.
     pub fn wmax(&self) -> usize {
         self.ranks.iter().map(Vec::len).max().unwrap_or(0)
@@ -126,18 +110,6 @@ mod tests {
         let (mx, mn) = (counts.iter().max().unwrap(), counts.iter().min().unwrap());
         assert!(mx - mn <= 1, "counts {counts:?}");
         assert_eq!(d.concat(), data);
-    }
-
-    #[test]
-    fn load_imbalance_cases() {
-        let d = DistVec::from_parts(vec![vec![1, 2], vec![3, 4]]);
-        assert_eq!(d.load_imbalance(), 1.0);
-        let d = DistVec::from_parts(vec![vec![1, 2, 3], vec![4]]);
-        assert_eq!(d.load_imbalance(), 3.0);
-        let d = DistVec::from_parts(vec![vec![1], vec![]]);
-        assert!(d.load_imbalance().is_infinite());
-        let d: DistVec<u8> = DistVec::new(4);
-        assert_eq!(d.load_imbalance(), 1.0);
     }
 
     #[test]

@@ -55,8 +55,7 @@ impl CommMatrix {
     }
 
     /// Per-rank communicated bytes (sent + received) — the `|C_r|` whose max
-    /// is `Cmax` and whose max/min ratio is the *communication imbalance* of
-    /// Fig. 11.
+    /// is `Cmax`.
     pub fn per_rank_bytes(&self) -> Vec<u64> {
         let p = self.rows.len();
         let mut tot = vec![0u64; p];
@@ -74,20 +73,6 @@ impl CommMatrix {
     /// `Cmax`: the maximum bytes any rank exchanges.
     pub fn cmax(&self) -> u64 {
         self.per_rank_bytes().into_iter().max().unwrap_or(0)
-    }
-
-    /// Communication imbalance `max/min` over ranks that communicate at all.
-    pub fn comm_imbalance(&self) -> f64 {
-        let per = self.per_rank_bytes();
-        let max = per.iter().copied().max().unwrap_or(0);
-        let min = per.iter().copied().filter(|&b| b > 0).min().unwrap_or(0);
-        if max == 0 {
-            1.0
-        } else if min == 0 {
-            f64::INFINITY
-        } else {
-            max as f64 / min as f64
-        }
     }
 
     /// Iterates all non-zero `(src, dst, bytes)` entries.
@@ -177,19 +162,8 @@ mod tests {
     }
 
     #[test]
-    fn comm_imbalance_ignores_silent_ranks() {
-        let mut m = CommMatrix::new(4);
-        m.add(0, 1, 8);
-        m.add(2, 1, 8);
-        // rank 3 never communicates; imbalance over communicating ranks.
-        let imb = m.comm_imbalance();
-        assert!((imb - 2.0).abs() < 1e-12, "imb {imb}");
-    }
-
-    #[test]
     fn empty_matrix_is_balanced() {
         let m = CommMatrix::new(4);
-        assert_eq!(m.comm_imbalance(), 1.0);
         assert_eq!(m.cmax(), 0);
     }
 }

@@ -5,8 +5,8 @@
 //! required pieces from scratch:
 //!
 //! * [`linear`] — operations on **linear octrees** (sorted, non-overlapping
-//!   leaf arrays): validation, completion (Sundar et al. 2008 style),
-//!   coarsening, predicate-driven refinement.
+//!   leaf arrays): construction with overlap resolution, validation,
+//!   predicate-driven refinement.
 //! * [`balance`] — 2:1 face-balance enforcement, the invariant real AMR
 //!   codes maintain so that each face has at most `2^(D-1)` neighbours.
 //! * [`neighbors`] — leaf lookup and face-neighbour enumeration on linear

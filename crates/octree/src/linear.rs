@@ -94,18 +94,6 @@ impl<const D: usize> LinearTree<D> {
         total == domain_volume::<D>()
     }
 
-    /// Completes the tree: fills uncovered space with the coarsest cells
-    /// that do not overlap existing leaves (the completion step of
-    /// Sundar et al. 2008, Algorithm 3 there).
-    pub fn completed(&self) -> Self {
-        let mut out = Vec::with_capacity(self.leaves.len());
-        complete_recursive(Cell::root(), &self.leaves, self.curve, &mut out);
-        LinearTree {
-            curve: self.curve,
-            leaves: out,
-        }
-    }
-
     /// Refines every leaf for which `pred` holds, repeatedly, until no leaf
     /// satisfies the predicate or `max_level` is reached.
     pub fn refine_where(&self, mut pred: impl FnMut(&Cell<D>) -> bool, max_level: u8) -> Self {
@@ -120,32 +108,6 @@ impl<const D: usize> LinearTree<D> {
             }
         }
         Self::from_cells(done, self.curve)
-    }
-
-    /// One coarsening sweep: every complete group of `2^D` sibling leaves is
-    /// replaced by its parent (the coarsening step of the authors' earlier
-    /// bottom-up scheme [Sundar et al. 2008] that §3 discusses).
-    pub fn coarsened(&self) -> Self {
-        let mut out: Vec<Cell<D>> = Vec::with_capacity(self.leaves.len());
-        let n = self.leaves.len();
-        let mut i = 0;
-        let group = 1 << D;
-        while i < n {
-            let c = self.leaves[i].cell;
-            if c.level() > 0 && c.child_number() == 0 && i + group <= n {
-                let parent = c.parent().expect("level > 0");
-                let all_siblings =
-                    (0..group).all(|j| self.leaves[i + j].cell.parent() == Some(parent));
-                if all_siblings {
-                    out.push(parent);
-                    i += group;
-                    continue;
-                }
-            }
-            out.push(c);
-            i += 1;
-        }
-        Self::from_cells(out, self.curve)
     }
 }
 
@@ -164,38 +126,6 @@ pub fn domain_volume<const D: usize>() -> u128 {
 /// Cell volume as `u128` (no saturation, unlike `Cell::volume`).
 pub fn volume_u128<const D: usize>(cell: &Cell<D>) -> u128 {
     1u128 << ((MAX_DEPTH - cell.level()) as u32 * D as u32)
-}
-
-fn complete_recursive<const D: usize>(
-    region: Cell<D>,
-    seeds: &[KeyedCell<D>],
-    curve: Curve,
-    out: &mut Vec<KeyedCell<D>>,
-) {
-    // Seeds overlapping this region.
-    let relevant: Vec<&KeyedCell<D>> = seeds
-        .iter()
-        .filter(|kc| region.overlaps(&kc.cell))
-        .collect();
-    if relevant.is_empty() {
-        out.push(KeyedCell::new(region, curve));
-        return;
-    }
-    if relevant.len() == 1 && relevant[0].cell.contains(&region) {
-        out.push(KeyedCell::new(region, curve));
-        return;
-    }
-    // Region contains seeds strictly inside: recurse in curve order.
-    let mut kids: Vec<KeyedCell<D>> = region
-        .children()
-        .into_iter()
-        .map(|c| KeyedCell::new(c, curve))
-        .collect();
-    kids.sort_unstable();
-    let owned: Vec<KeyedCell<D>> = relevant.into_iter().copied().collect();
-    for kid in kids {
-        complete_recursive(kid.cell, &owned, curve, out);
-    }
 }
 
 #[cfg(test)]
@@ -233,37 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn completion_tiles_domain() {
-        for curve in Curve::ALL {
-            let seed = Cell3::new([0, 0, 0], 4);
-            let t = LinearTree::from_cells(vec![seed], curve).completed();
-            assert!(t.is_complete(), "{curve}: volume must equal domain");
-            assert!(is_linear(t.leaves()));
-            assert!(t.leaves().iter().any(|kc| kc.cell == seed));
-            // Minimal completion of a single level-4 corner cell:
-            // 4 levels × (2^D - 1) siblings + the seed.
-            assert_eq!(t.len(), 4 * 7 + 1, "{curve}");
-        }
-    }
-
-    #[test]
-    fn completion_preserves_multiple_seeds() {
-        let seeds = vec![
-            Cell3::new([0, 0, 0], 3),
-            Cell3::new([1 << 29, 1 << 29, 1 << 29], 2),
-            Cell3::new([3 << 27, 0, 1 << 28], 5),
-        ];
-        let t = LinearTree::from_cells(seeds.clone(), Curve::Hilbert).completed();
-        assert!(t.is_complete());
-        for s in &seeds {
-            assert!(
-                t.leaves().iter().any(|kc| kc.cell == *s),
-                "seed {s:?} missing from completion"
-            );
-        }
-    }
-
-    #[test]
     fn refine_where_targets_region() {
         let t: LinearTree<3> = LinearTree::root(Curve::Hilbert);
         // Refine anything containing the origin to level 5.
@@ -278,35 +177,6 @@ mod tests {
             .find(|kc| kc.cell.contains_point([0, 0, 0]))
             .unwrap();
         assert_eq!(origin_leaf.cell.level(), 5);
-    }
-
-    #[test]
-    fn coarsen_collapses_sibling_groups() {
-        let t: LinearTree<3> = LinearTree::root(Curve::Morton);
-        let refined = t.refine_where(|c| c.level() < 2, 2); // uniform level 2
-        assert_eq!(refined.len(), 64);
-        let c1 = refined.coarsened();
-        assert_eq!(c1.len(), 8);
-        assert!(c1.is_complete());
-        let c2 = c1.coarsened();
-        assert_eq!(c2.len(), 1);
-    }
-
-    #[test]
-    fn coarsen_keeps_partial_groups() {
-        // Mixed levels: only full sibling groups collapse.
-        let t: LinearTree<3> = LinearTree::root(Curve::Morton);
-        let r = t
-            .refine_where(|c| c.level() < 1, 1)
-            .refine_where(|c| c.contains_point([0, 0, 0]) && c.level() < 2, 2);
-        // 7 level-1 + 8 level-2 leaves.
-        assert_eq!(r.len(), 15);
-        let c = r.coarsened();
-        // The 8 level-2 siblings collapse; the 7 level-1 cells do not form a
-        // complete group (their 8th sibling is the collapsed parent), then
-        // the recursion stops after one sweep.
-        assert_eq!(c.len(), 8);
-        assert!(c.is_complete());
     }
 
     #[test]

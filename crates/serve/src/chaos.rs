@@ -324,9 +324,8 @@ impl ChaosPlan {
 }
 
 /// The canonical chaos request stream: `mixed_stream` with kills and
-/// deadlines laced in, at the distinct-scenario density the other soaks
-/// use. One definition shared by [`chaos_soak`] and [`socket_chaos`], so
-/// their direct-call caches line up.
+/// deadlines laced in. One definition shared by [`chaos_soak`] and
+/// [`socket_chaos`], so their direct-call caches line up.
 pub fn chaos_stream(seed: u64, requests: usize) -> Vec<Request> {
     let distinct = (requests / 16).clamp(1, 64);
     mixed_stream(seed, requests, distinct, 23, 11)

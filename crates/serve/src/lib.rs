@@ -43,7 +43,7 @@
 //! byte-for-byte the payload of a *direct* library call ([`direct`]) on a
 //! fresh engine and state — guaranteed by PR 6's warm≡cold invariant plus
 //! engine-reset determinism, and enforced by the `serve-vs-library` testkit
-//! oracle, [`soak::verify_responses`], and the fault-soak mode. Everything
+//! oracle, [`soak::verify_responses`], and the chaos soak. Everything
 //! that may legitimately differ (worker id, warm path, batch size, wall and
 //! virtual latency, deadline status) lives *outside* the payload.
 

@@ -472,11 +472,6 @@ impl Server {
         self.resp_rx.recv().expect("server running")
     }
 
-    /// Non-blocking receive: the next response if one is ready.
-    pub fn try_recv(&self) -> Option<Response> {
-        self.resp_rx.try_recv().ok()
-    }
-
     /// Blocking receive of exactly `n` responses (arrival order).
     pub fn drain(&self, n: usize) -> Vec<Response> {
         (0..n).map(|_| self.recv()).collect()

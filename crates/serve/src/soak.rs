@@ -1,11 +1,9 @@
-//! Mixed-scenario stream generation, response verification and the
-//! fault-soak mode: replay a stream laced with PR 1/3 fault plans
-//! (stragglers, transient retries, fail-stop kills with shrink-recovery)
-//! against a live server while asserting every response is bit-identical
-//! to a direct library call.
+//! Mixed-scenario stream generation and response verification: a stream
+//! can be laced with fault plans (stragglers, transient retries, fail-stop
+//! kills with shrink-recovery) and deadlines, and every served response is
+//! checked bit-identical to a direct library call.
 
 use crate::protocol::{Request, Response, Status};
-use crate::server::{ServeConfig, Server, ServerStats};
 use crate::{direct, Payload};
 use optipart_mpisim::rng::SplitMix64;
 use optipart_mpisim::FaultPlan;
@@ -229,31 +227,10 @@ pub fn verify_responses(reqs: &[Request], resps: &[Response]) -> Result<VerifySu
     verify_responses_with(reqs, resps, &mut DirectCache::new())
 }
 
-/// The fault-soak mode: stream `requests` seeded scenarios — roughly one
-/// in seven armed with a fail-stop kill, one in five with a deadline —
-/// through a live server, then verify the whole exchange bit-identical to
-/// the library. Returns the verification summary and the server counters.
-pub fn fault_soak(
-    seed: u64,
-    requests: usize,
-    cfg: ServeConfig,
-) -> Result<(VerifySummary, ServerStats), String> {
-    let distinct = (requests / 8).clamp(1, 48);
-    let reqs = mixed_stream(seed, requests, distinct, 7, 5);
-    let server = Server::start(cfg);
-    for r in &reqs {
-        server.submit(r.clone());
-    }
-    let resps = server.drain(reqs.len());
-    let stats = server.shutdown();
-    stats.conservation()?;
-    let sum = verify_responses(&reqs, &resps)?;
-    Ok((sum, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{ServeConfig, Server};
 
     #[test]
     fn mixed_stream_is_deterministic_and_mixes_faults() {
@@ -280,26 +257,6 @@ mod tests {
             distinct.len() > 8,
             "kill variants add keys beyond the base 8"
         );
-    }
-
-    #[test]
-    fn fault_soak_round_trips_bit_identically() {
-        let cfg = ServeConfig {
-            workers: 3,
-            queue_cap: 64,
-            state_cap: 16,
-            engine_cache: 4,
-            batching: true,
-            admission: Default::default(),
-        };
-        let (sum, stats) = fault_soak(20260808, 48, cfg).expect("soak verifies");
-        assert_eq!(sum.checked, 48);
-        assert_eq!(sum.served + sum.shed, 48);
-        assert!(
-            stats.deaths > 0,
-            "the kill plans must exercise recovery: {stats:?}"
-        );
-        assert!(stats.engine_passes > 0);
     }
 
     #[test]

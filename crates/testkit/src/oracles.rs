@@ -195,7 +195,7 @@ pub(crate) fn stage_traffic(traffic: &[Vec<(usize, Vec<u64>)>]) -> AlltoallvAren
 /// must deliver
 /// bit-identical payloads, record equal communication matrices and run
 /// statistics, and charge bit-identical per-rank virtual clocks — for
-/// every staging algorithm (Direct, Staged, Hypercube) and both on a clean
+/// both schedules (Direct, Hypercube) and both on a clean
 /// machine and under the scenario's benign fault plan (stragglers, `tw`
 /// jitter, transient retries). The machine is always two-level (a flat
 /// scenario is run as SMP), so the intra-node byte share is exercised too.
@@ -229,11 +229,7 @@ pub fn sparse_vs_dense_collectives(scn: &Scenario) {
             };
             e.record_comm_matrix()
         };
-        for algo in [
-            AllToAllAlgo::Direct,
-            AllToAllAlgo::Staged,
-            AllToAllAlgo::Hypercube,
-        ] {
+        for algo in [AllToAllAlgo::Direct, AllToAllAlgo::Hypercube] {
             let what = format!("algo {algo:?}, faulted {faulted}");
 
             // Dense reference: one p × p buffer grid.

@@ -13,10 +13,6 @@
 //! optipart-serve serve --socket /tmp/optipart.sock --accept 3 --workers 4 &
 //! optipart-serve gen --requests 50 | optipart-serve client --socket /tmp/optipart.sock
 //!
-//! # Fault-soak mode: a generated stream laced with fail-stop kills and
-//! # deadlines, every response verified bit-identical to the library:
-//! optipart-serve soak --requests 500 --workers 4
-//!
 //! # Chaos soak: seeded worker panics, client disconnects, corrupted lines
 //! # and slow readers — conservation, determinism and bit-identity checked:
 //! optipart-serve chaos --requests 1000 --seed 20260808 --workers 4
@@ -47,7 +43,7 @@ use optipart::scenario::flags::{parse_flags, FlagSpec, Flags};
 use optipart::serve::chaos::{chaos_soak, socket_chaos, ChaosKnobs};
 use optipart::serve::front::{connect_retry, finish, pump, Listener};
 use optipart::serve::protocol::DEFAULT_MAX_LINE;
-use optipart::serve::soak::{fault_soak, mixed_stream, DirectCache};
+use optipart::serve::soak::{mixed_stream, DirectCache};
 use optipart::serve::{Admission, ServeConfig, Server};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::exit;
@@ -94,7 +90,6 @@ fn main() {
     match cmd.as_str() {
         "serve" => cmd_serve(&f),
         "gen" => cmd_gen(&f),
-        "soak" => cmd_soak(&f),
         "chaos" => cmd_chaos(&f),
         "client" => cmd_client(&f),
         "-h" | "--help" => usage(""),
@@ -281,36 +276,6 @@ fn cmd_gen(f: &Flags) {
     );
 }
 
-fn cmd_soak(f: &Flags) {
-    let requests: usize = f.parse("requests", 200);
-    let seed: u64 = f.parse("seed", 20260808);
-    let cfg = config(f);
-    eprintln!(
-        "fault-soak: {requests} requests, {} workers, batching {}",
-        cfg.workers,
-        if cfg.batching { "on" } else { "off" },
-    );
-    match fault_soak(seed, requests, cfg) {
-        Ok((sum, stats)) => {
-            eprintln!(
-                "soak OK: {} served + {} shed, all bit-identical to the \
-                 library ({} distinct scenarios, {} past deadline, {} rank \
-                 deaths absorbed, warm-request rate {:.2})",
-                sum.served,
-                sum.shed,
-                sum.distinct,
-                sum.deadline,
-                stats.deaths,
-                stats.warm_request_rate(),
-            );
-        }
-        Err(e) => {
-            eprintln!("soak FAILED: {e}");
-            exit(1);
-        }
-    }
-}
-
 fn chaos_fail(repro: &str, msg: &str) -> ! {
     let text = format!("chaos soak FAILED\n  {msg}\n  replay: {repro}\n");
     eprint!("{text}");
@@ -443,8 +408,6 @@ fn usage(err: &str) -> ! {
          optipart-serve client --socket PATH [--in FILE] [--quiet] [--connect-wait-ms MS]\n  \
          optipart-serve gen --requests N [--seed S] [--distinct D] \
          [--kill-every K] [--deadline-every K] [--out FILE]\n  \
-         optipart-serve soak [--requests N] [--seed S] [--workers N] \
-         [--queue-cap N] [--state-cap K] [--no-batching]\n  \
          optipart-serve chaos [--requests N] [--seed S] [--workers N] \
          [--panics N] [--disconnects N] [--clients N] [--corrupt N] \
          [--stall-every N] [--no-socket]\n\n\

@@ -30,7 +30,7 @@
 //!   one `--key value` flag parser of every binary (`scenario::flags`).
 //! * [`serve`] — partition-as-a-service front end: fingerprint-sharded
 //!   warm-state worker pool, request batching, bounded-queue backpressure,
-//!   fault-soak verification (the `optipart-serve` binary).
+//!   verified chaos soak (the `optipart-serve` binary).
 //!
 //! ## Minimal example
 //!

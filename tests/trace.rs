@@ -91,7 +91,7 @@ fn four_rank_critical_path_hops_through_rotating_stragglers() {
             e.compute(&mut d, |r, buf| {
                 buf.len() as f64 * if r == slow { 100.0 } else { 4.0 }
             });
-            e.allreduce_max_u64(&[0, 0, 0, 0]);
+            e.allreduce_sum_u64(&[0, 0, 0, 0]);
         });
     }
 
