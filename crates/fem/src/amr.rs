@@ -126,10 +126,10 @@ fn front_center(t: usize, steps: usize) -> [f64; 3] {
 }
 
 /// Builds the step-`t` mesh: refined in a shell around the moving front,
-/// then 2:1 face-balanced — the invariant Dendro meshes carry, and what
-/// makes the FEM stencil independent of the partition (ghost discovery
-/// finds every face neighbour of a balanced mesh, so faulted runs that
-/// repartition over survivors reproduce the fault-free solution).
+/// then 2:1 face-balanced — the invariant Dendro meshes carry. Ghost
+/// discovery does not need it: it finds every face neighbour of any
+/// complete octree, so the stencil is independent of the partition either
+/// way.
 pub fn step_mesh(t: usize, cfg: &AmrConfig) -> LinearTree<3> {
     let c = front_center(t, cfg.steps);
     let radius = 0.18;

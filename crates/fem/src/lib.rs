@@ -11,7 +11,7 @@
 //! This crate provides that application on the virtual BSP engine:
 //!
 //! * [`mesh`] — a distributed mesh over a partitioned linear octree:
-//!   ghost/halo layer discovery via a two-phase probe exchange, static
+//!   ghost/halo layer discovery via a query/reply exchange, static
 //!   send/receive lists, and face-flux coefficients for a finite-volume
 //!   discretisation of the Laplacian.
 //! * [`matvec`] — the halo-exchange + stencil kernel whose communication
@@ -27,13 +27,6 @@
 //! * [`recovery`] — the two solve loops themselves, checkpointed and
 //!   fail-stop tolerant; the [`driver`] and [`amr`] entry points are these
 //!   loops with checkpointing off.
-//!
-//! Ghost discovery probes the `2^(D-1)` level-`l+1` sample points behind
-//! each face, which finds **all** face neighbours of a 2:1-balanced mesh
-//! (the class Dendro produces and the paper uses); on unbalanced meshes
-//! neighbours more than one level finer than a cell are not ghosted (their
-//! flux is dropped), which leaves the communication *pattern* — what the
-//! partitioning study measures — intact.
 
 pub mod amr;
 pub mod driver;

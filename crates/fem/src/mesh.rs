@@ -1,19 +1,25 @@
 //! Distributed octree mesh with ghost layers and FV Laplacian coefficients.
 //!
 //! Built from a partitioned linear octree (the output of any of the
-//! `optipart-core` partitioners). Construction is three exchanges, each one
-//! [`AlltoallvArena`] (so each `Alltoallv` is one arena exchange, delivered
-//! grouped by destination, then source):
+//! `optipart-core` partitioners). Construction is one allgather of the
+//! ranks' first keys (the leaf-aligned splitters) and three exchanges, each
+//! one [`AlltoallvArena`] delivered grouped by destination, then source:
 //!
-//! 1. every rank probes the sample points behind each face of each local
-//!    cell; probes whose owner (by splitter lookup) is remote are shipped to
-//!    that owner, one segment per owner;
-//! 2. owners resolve each probe to their local leaf and reply with the leaf
-//!    cell and its local index, one segment per probe segment; requesters
+//! 1. **queries** — every rank keys the same-size neighbour region of each
+//!    interior face of each local cell once and looks up the contiguous run
+//!    of ranks that own it. Its own part is searched in place; every other
+//!    non-empty owner gets one `(cell, local index, face)` query;
+//! 2. **replies** — each owner answers its queries with the same search and
+//!    replies with every face-sharing leaf and its local index; requesters
 //!    sort and deduplicate each owner's reply into a static ghost receive
 //!    list and attach the couplings;
-//! 3. the receive lists travel to their owners and become the symmetric
-//!    send lists.
+//! 3. **request lists** — the receive lists travel to their owners and
+//!    become the symmetric send lists.
+//!
+//! The one search, `face_sharers`, is `overlapping_leaves_keyed` filtered
+//! by true face adjacency, so every face neighbour is found on any complete
+//! linear octree, 2:1-balanced or not, and the couplings do not depend on
+//! the partition.
 //!
 //! The per-face coupling coefficient is the finite-volume transmissibility
 //! `κ = A_f / d` (shared face area over centre distance, in unit-cube
@@ -68,19 +74,23 @@ pub struct DistMesh<const D: usize> {
     pub locals: Vec<LocalMesh>,
 }
 
-/// A ghost probe: a sample point plus the local cell/face it came from.
+/// A ghost query: a cell and one of its faces whose same-size neighbour
+/// region overlaps the receiving owner's range.
 #[derive(Clone, Copy, Debug)]
-struct Probe<const D: usize> {
-    point: [u32; D],
+struct Query<const D: usize> {
+    cell: Cell<D>,
     src_cell: u32,
+    axis: u8,
+    dir: i8,
 }
 
-/// Four bytes per coordinate plus the source cell index.
-impl<const D: usize> Wire for Probe<D> {
-    const BYTES: u64 = 4 * (D as u64 + 1);
+/// `D` coordinates, a word holding level, axis and direction, and the
+/// source cell index.
+impl<const D: usize> Wire for Query<D> {
+    const BYTES: u64 = 4 * (D as u64 + 2);
 }
 
-/// A resolved probe: the owner's leaf covering the point.
+/// An answer to a query: one owner leaf sharing a face with the cell.
 #[derive(Clone, Copy, Debug)]
 struct Resolved<const D: usize> {
     src_cell: u32,
@@ -112,37 +122,23 @@ impl<const D: usize> DistMesh<D> {
         let p = engine.p();
         let mut cells = cells;
 
-        // Leaf-aligned splitters: the first key on each rank (empty ranks
-        // inherit the next non-empty rank's key).
+        // Leaf-aligned splitters: the first key on each rank, allgathered.
+        // Empty ranks send none and inherit the next non-empty rank's key.
         let firsts: Vec<Vec<SfcKey>> = engine.compute_map(&mut cells, |_r, buf| {
-            (
-                0.0,
-                buf.first().map(|kc| kc.key).into_iter().collect::<Vec<_>>(),
-            )
+            (0.0, buf.first().map(|kc| kc.key).into_iter().collect())
         });
-        let flat: Vec<Option<SfcKey>> = firsts.iter().map(|v| v.first().copied()).collect();
-        let gathered = engine.allgather(
-            &flat
-                .iter()
-                .map(|o| o.map(|k| vec![k]).unwrap_or_default())
-                .collect::<Vec<_>>(),
-        );
-        // gathered holds first-keys of non-empty ranks in rank order; rebuild
-        // the p-1 splitters by walking ranks.
-        let mut splitters = Vec::with_capacity(p.saturating_sub(1));
-        let mut gi = 0usize;
-        for (r, has_first) in flat.iter().enumerate() {
-            let key = if has_first.is_some() {
-                let k = gathered[gi];
-                gi += 1;
-                Some(k)
-            } else {
-                None
-            };
-            if r > 0 {
-                splitters.push(key.unwrap_or(SfcKey::MAX));
-            }
-        }
+        let mut gathered = engine.allgather(&firsts).into_iter();
+        let mut splitters: Vec<SfcKey> = firsts
+            .iter()
+            .map(|first| {
+                if first.is_empty() {
+                    SfcKey::MAX
+                } else {
+                    gathered.next().expect("one key per non-empty rank")
+                }
+            })
+            .collect();
+        splitters.remove(0);
         // Empty-rank gaps: make splitters monotone from the right.
         for i in (0..splitters.len().saturating_sub(1)).rev() {
             if splitters[i] > splitters[i + 1] {
@@ -150,184 +146,148 @@ impl<const D: usize> DistMesh<D> {
             }
         }
 
-        // ---- Phase 1: local adjacency + probe generation ----------------
-        // Per rank: the local mesh, its probes sorted by owner (cell order
+        // ---- Phase 1: local adjacency + query generation ----------------
+        // Per rank: the local mesh, its queries sorted by owner (cell order
         // kept within an owner) and the `(owner, count)` runs of that order.
         let elem_bytes = KeyedCell::<D>::BYTES as f64;
         let sp = &splitters;
-        #[allow(clippy::type_complexity)]
-        let phase1: Vec<(LocalMesh, Vec<Probe<D>>, Vec<(u32, u32)>)> =
+        let phase1: Vec<(LocalMesh, Vec<Query<D>>, Runs)> =
             engine.compute_map(&mut cells, |r, buf| {
                 let mut lm = LocalMesh {
                     entries: vec![Vec::new(); buf.len()],
                     diag: vec![0.0; buf.len()],
                     ..Default::default()
                 };
-                // Rank r owns keys in [lo_r, hi_r).
-                let lo_r = if r == 0 { SfcKey::MIN } else { sp[r - 1] };
-                let hi_r = if r == p - 1 { SfcKey::MAX } else { sp[r] };
-                let mut found: Vec<(u32, Probe<D>)> = Vec::new();
+                let mut found: Vec<(u32, Query<D>)> = Vec::new();
                 for (i, kc) in buf.iter().enumerate() {
                     for axis in 0..D {
                         for dir in [-1i8, 1] {
-                            match kc.cell.face_neighbor(axis, dir) {
-                                None => {
-                                    // Domain boundary: Dirichlet-0 flux.
-                                    lm.diag[i] += boundary_kappa(&kc.cell);
-                                }
-                                Some(region) => {
-                                    // One key computation per face; the
-                                    // region's whole subtree occupies the
-                                    // contiguous path range [key, key+span).
-                                    let key = SfcKey::of(&region, curve);
-                                    let span =
-                                        1u128 << ((MAX_DEPTH - region.level()) as u32 * D as u32);
-                                    let key_hi =
-                                        SfcKey::from_parts(key.path() + (span - 1), u8::MAX);
-                                    let fully_local = lo_r <= key && key_hi < hi_r;
-                                    if fully_local {
-                                        for j in overlapping_leaves_keyed(buf, &region, key) {
-                                            let nb = buf[j].cell;
-                                            if kc.cell.shares_face_with(&nb) {
-                                                let k = kappa(&kc.cell, &nb);
-                                                lm.entries[i].push((Slot::Local(j as u32), k));
-                                                lm.diag[i] += k;
-                                            }
-                                        }
-                                    } else {
-                                        for point in face_probes(&region, axis, dir) {
-                                            let key =
-                                                SfcKey::of(&Cell::<D>::from_point(point), curve);
-                                            let src_cell = i as u32;
-                                            found.push((
-                                                owner_of(sp, &key) as u32,
-                                                Probe { point, src_cell },
-                                            ));
-                                        }
+                            let Some(region) = kc.cell.face_neighbor(axis, dir) else {
+                                // Domain boundary: Dirichlet-0 flux.
+                                lm.diag[i] += boundary_kappa(&kc.cell);
+                                continue;
+                            };
+                            // One key computation per face; the region's
+                            // whole subtree occupies the contiguous path range
+                            // [key, key+span), owned by a contiguous run of
+                            // ranks.
+                            let key = SfcKey::of(&region, curve);
+                            let span = 1u128 << ((MAX_DEPTH - region.level()) as u32 * D as u32);
+                            let key_hi = SfcKey::from_parts(key.path() + (span - 1), u8::MAX);
+                            let (lo, hi) = (owner_of(sp, &key), owner_of(sp, &key_hi));
+                            for (owner, first) in (lo..).zip(&firsts[lo..=hi]) {
+                                if owner == r {
+                                    for j in face_sharers(buf, &kc.cell, &region, key) {
+                                        let k = kappa(&kc.cell, &buf[j].cell);
+                                        lm.entries[i].push((Slot::Local(j as u32), k));
+                                        lm.diag[i] += k;
                                     }
+                                } else if !first.is_empty() {
+                                    let query = Query {
+                                        cell: kc.cell,
+                                        src_cell: i as u32,
+                                        axis: axis as u8,
+                                        dir,
+                                    };
+                                    found.push((owner as u32, query));
                                 }
                             }
                         }
                     }
                 }
                 found.sort_by_key(|&(owner, _)| owner);
-                let mut runs: Vec<(u32, u32)> = Vec::new();
+                let mut runs = Runs::new();
                 for &(owner, _) in &found {
                     match runs.last_mut() {
                         Some((o, len)) if *o == owner => *len += 1,
                         _ => runs.push((owner, 1)),
                     }
                 }
-                let probes = found.iter().map(|&(_, pr)| pr).collect();
+                let queries = found.iter().map(|&(_, q)| q).collect();
                 let cost = buf.len() as f64 * elem_bytes * (2 * D) as f64;
-                (cost, (lm, probes, runs))
+                (cost, (lm, queries, runs))
             });
 
-        // ---- Phase 2: ship probes, resolve, reply ------------------------
-        let mut probes = AlltoallvArena::with_capacity(
-            phase1.iter().map(|(_, probes, _)| probes.len()).sum(),
+        // ---- Phase 2: ship queries, answer, reply ------------------------
+        let mut queries = AlltoallvArena::with_capacity(
+            phase1.iter().map(|(_, queries, _)| queries.len()).sum(),
             phase1.iter().map(|(_, _, runs)| runs.len()).sum(),
         );
         let mut locals: Vec<LocalMesh> = Vec::with_capacity(p);
         for (r, (lm, mine, runs)) in phase1.into_iter().enumerate() {
             locals.push(lm);
-            let mut rest = mine.as_slice();
-            for (owner, len) in runs {
-                let (run, tail) = rest.split_at(len as usize);
-                probes.send(r, owner as usize, run.iter().copied());
-                rest = tail;
-            }
+            send_runs(&mut queries, r, &mine, &runs);
         }
-        engine.alltoallv_flat(&mut probes, AllToAllAlgo::Hypercube);
-        probes.release_send();
+        engine.alltoallv_flat(&mut queries, AllToAllAlgo::Hypercube);
+        queries.release_send();
 
-        // Owners resolve their whole delivered slice in parallel (read-only
-        // on cells): the covering leaf's index per probe, `UNRESOLVED` where
-        // the point falls outside the owner's leaves.
-        const UNRESOLVED: u32 = u32::MAX;
-        let leaf_of: Vec<Vec<u32>> = par::par_map_mut(cells.parts_mut(), |owner, buf| {
-            let resolve = |pr: &Probe<D>| {
-                let key = SfcKey::of(&Cell::<D>::from_point(pr.point), curve);
-                match buf.partition_point(|kc| kc.key <= key).checked_sub(1) {
-                    Some(j) if buf[j].cell.contains_point(pr.point) => j as u32,
-                    _ => UNRESOLVED,
-                }
-            };
-            probes.recv_for(owner).iter().map(resolve).collect()
-        });
-        // One reply segment per probe segment, unresolved probes dropped.
-        // `leaf_of` read owner by owner is the delivered pool's own order,
-        // which the segments tile.
+        // Owners answer their delivered segments in parallel (read-only on
+        // cells) with the search the local branch runs: one flat pool of
+        // face-sharing leaves per owner, cut into `(requester, count)` runs
+        // in delivery order.
+        let delivered: Vec<(usize, usize, &[Query<D>])> = queries.recv().collect();
+        let answers: Vec<(Vec<Resolved<D>>, Runs)> =
+            par::par_map_mut(cells.parts_mut(), |owner, buf| {
+                let buf: &[KeyedCell<D>] = buf;
+                let lo = delivered.partition_point(|&(_, dst, _)| dst < owner);
+                let hi = delivered.partition_point(|&(_, dst, _)| dst <= owner);
+                let mut pool = Vec::new();
+                let runs = delivered[lo..hi]
+                    .iter()
+                    .map(|&(src, _, seg)| {
+                        let before = pool.len();
+                        for q in seg {
+                            let region = q
+                                .cell
+                                .face_neighbor(q.axis as usize, q.dir)
+                                .expect("queries name interior faces");
+                            let key = SfcKey::of(&region, curve);
+                            let hits = face_sharers(buf, &q.cell, &region, key);
+                            pool.extend(hits.map(|j| Resolved {
+                                src_cell: q.src_cell,
+                                leaf_idx: j as u32,
+                                leaf: buf[j].cell,
+                            }));
+                        }
+                        (src as u32, (pool.len() - before) as u32)
+                    })
+                    .collect();
+                (pool, runs)
+            });
+        drop(delivered);
+        drop(queries);
         let mut replies = AlltoallvArena::with_capacity(
-            leaf_of
-                .iter()
-                .flatten()
-                .filter(|&&j| j != UNRESOLVED)
-                .count(),
-            probes.recv().count(),
+            answers.iter().map(|(pool, _)| pool.len()).sum(),
+            answers.iter().map(|(_, runs)| runs.len()).sum(),
         );
-        let mut leaves = leaf_of.iter().flatten();
-        for (src, owner, seg) in probes.recv() {
-            let buf = cells.rank(owner);
-            let hits = seg.iter().zip(leaves.by_ref());
-            replies.send(
-                owner,
-                src,
-                hits.filter(|(_, &j)| j != UNRESOLVED)
-                    .map(|(pr, &j)| Resolved {
-                        src_cell: pr.src_cell,
-                        leaf_idx: j,
-                        leaf: buf[j as usize].cell,
-                    }),
-            );
+        for (owner, (pool, runs)) in answers.into_iter().enumerate() {
+            send_runs(&mut replies, owner, &pool, &runs);
         }
-        drop((probes, leaf_of));
         engine.alltoallv_flat(&mut replies, AllToAllAlgo::Hypercube);
         replies.release_send();
 
         // ---- Phase 3: assemble ghost lists and remote couplings ----------
         // Replies arrive grouped by requester, then owner, one segment per
-        // link, each in the requester's cell order — so an owner's ghosts
-        // are final when its segment ends, and duplicates of one
-        // (cell, leaf) pair sit within that cell's run of the segment.
+        // link; each owner's distinct leaves, sorted, take the next slots.
+        // No reply comes from the requester itself, and no leaf is named
+        // twice to one cell: it shares a face with it across one face only.
         for (owner, r, row) in replies.recv() {
             let local = &mut locals[r];
             let my_cells = cells.rank(r);
-            // Remote owner: its distinct leaves, sorted, take the next slots.
-            let ghosts = (owner != r).then(|| {
-                let mut list: Vec<u32> = row.iter().map(|res| res.leaf_idx).collect();
-                list.sort_unstable();
-                list.dedup();
-                debug_assert!(local.recv_from.last().is_none_or(|(o, _)| *o < owner));
-                let base = local.num_ghosts;
-                local.num_ghosts += list.len();
-                local.recv_from.push((owner, list));
-                (base, &local.recv_from.last().expect("just pushed").1)
-            });
-            for (n, res) in row.iter().enumerate() {
+            let mut list: Vec<u32> = row.iter().map(|res| res.leaf_idx).collect();
+            list.sort_unstable();
+            list.dedup();
+            debug_assert!(local.recv_from.last().is_none_or(|(o, _)| *o < owner));
+            let base = local.num_ghosts;
+            local.num_ghosts += list.len();
+            for res in row {
                 let cell = res.src_cell as usize;
-                let src = my_cells[cell].cell;
-                // Self-probe: a straddling region resolved locally.
-                let itself = owner == r && res.leaf_idx == res.src_cell;
-                let seen = row[..n]
-                    .iter()
-                    .rev()
-                    .take_while(|prev| prev.src_cell == res.src_cell)
-                    .any(|prev| prev.leaf_idx == res.leaf_idx);
-                if itself || seen || !src.shares_face_with(&res.leaf) {
-                    continue;
-                }
-                let slot = match ghosts {
-                    None => Slot::Local(res.leaf_idx),
-                    Some((base, list)) => {
-                        let g = list.binary_search(&res.leaf_idx).expect("listed above");
-                        Slot::Ghost((base + g) as u32)
-                    }
-                };
-                let k = kappa(&src, &res.leaf);
-                local.entries[cell].push((slot, k));
+                let g = list.binary_search(&res.leaf_idx).expect("listed above");
+                let k = kappa(&my_cells[cell].cell, &res.leaf);
+                local.entries[cell].push((Slot::Ghost((base + g) as u32), k));
                 local.diag[cell] += k;
             }
+            local.recv_from.push((owner, list));
         }
         drop(replies);
 
@@ -375,33 +335,29 @@ pub(crate) fn boundary_kappa<const D: usize>(c: &Cell<D>) -> f64 {
     area / (side * 0.5)
 }
 
-/// Sample points just inside `region` adjacent to the face it shares with
-/// the probing cell: the centres of the `2^(D-1)` level-`l+1` subcells on
-/// that face (all face neighbours of a 2:1-balanced mesh contain one).
-fn face_probes<const D: usize>(
+/// Indices of the leaves of one rank's sorted slice that overlap `region`,
+/// the same-size neighbour region of one face of `cell` keyed `key`, and
+/// share a face with `cell`: the face's neighbours on that rank.
+fn face_sharers<'a, const D: usize>(
+    leaves: &'a [KeyedCell<D>],
+    cell: &'a Cell<D>,
     region: &Cell<D>,
-    axis: usize,
-    dir: i8,
-) -> impl Iterator<Item = [u32; D]> {
-    let side = region.side();
-    let anchor = region.anchor();
-    // Finest cells: a single probe at the anchor (every offset is 0).
-    let (q, count) = if side < 4 {
-        (0, 1)
-    } else {
-        (side / 4, 1u32 << (D - 1))
-    };
-    // Offset along the probing axis: touching face is region's low side when
-    // dir=+1 (cell below region), high side when dir=-1.
-    let axis_off = if dir == 1 || q == 0 { q } else { side - q };
-    (0..count).map(move |mask| {
-        let mut pt = anchor;
-        pt[axis] += axis_off;
-        // Bit `b` of `mask` picks the near or far subcell along the `b`-th
-        // free axis.
-        for (b, d) in (0..D).filter(|&d| d != axis).enumerate() {
-            pt[d] += if (mask >> b) & 1 == 1 { 3 * q } else { q };
-        }
-        pt
-    })
+    key: SfcKey,
+) -> impl Iterator<Item = usize> + 'a {
+    overlapping_leaves_keyed(leaves, region, key)
+        .filter(move |&j| cell.shares_face_with(&leaves[j].cell))
+}
+
+/// Consecutive `(destination rank, length)` runs that cut one rank's flat
+/// buffer into messages.
+type Runs = Vec<(u32, u32)>;
+
+/// Stages `items`, cut into `runs`, as messages from `src`.
+fn send_runs<T: Copy>(arena: &mut AlltoallvArena<T>, src: usize, items: &[T], runs: &[(u32, u32)]) {
+    let mut rest = items;
+    for &(dst, len) in runs {
+        let (run, tail) = rest.split_at(len as usize);
+        arena.send(src, dst as usize, run.iter().copied());
+        rest = tail;
+    }
 }

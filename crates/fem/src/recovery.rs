@@ -280,10 +280,10 @@ fn recover_amr(
 /// and re-running the lost iterations.
 ///
 /// The rescale cadence is keyed to the *absolute* iteration index, so a
-/// replayed segment applies exactly the ops the fault-free run would — on a
-/// 2:1-balanced mesh (where ghost discovery is complete and the stencil is
-/// partition-independent) final solutions agree to round-off (`≤ 1e-12`
-/// relative) regardless of where deaths strike.
+/// replayed segment applies exactly the ops the fault-free run would — the
+/// stencil is partition-independent on any complete octree, so final
+/// solutions agree to round-off (`≤ 1e-12` relative) regardless of where
+/// deaths strike.
 ///
 /// Panics (from [`CheckpointStore::restore`]) if a death strikes under
 /// [`CheckpointPolicy::Never`] or before the first save.
@@ -530,8 +530,9 @@ mod tests {
     }
 
     fn meshed(e: &mut Engine, n: usize, seed: u64) -> DistMesh<3> {
-        // 2:1-balanced, so the stencil (and thus the solution) does not
-        // depend on the partition — required for faulted-vs-clean matching.
+        // 2:1-balanced like Dendro's meshes. The stencil (and thus the
+        // solution) does not depend on the partition on any complete
+        // octree, which faulted-vs-clean matching requires.
         let tree = balance21(&MeshParams::normal(n, seed).build::<3>(Curve::Hilbert));
         let out = treesort_partition(e, distribute_tree(&tree, e.p()), PartitionOptions::exact());
         DistMesh::build(e, out.dist, Curve::Hilbert)

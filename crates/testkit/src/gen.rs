@@ -37,9 +37,9 @@ pub fn tree(seed: u64, n: usize, curve: Curve) -> LinearTree<3> {
     normal_tree::<3>(seed, n, 14, curve)
 }
 
-/// The fem properties' mesh: 2:1-balanced (the class on which ghost discovery
-/// is complete and the stencil partition-independent), cap 8. Generic in
-/// `D` for the quadtree instantiation.
+/// The fem properties' balanced mesh: 2:1-balanced (the class Dendro
+/// produces and the paper uses), cap 8. Generic in `D` for the quadtree
+/// instantiation.
 pub fn balanced_tree<const D: usize>(seed: u64, n: usize, curve: Curve) -> LinearTree<D> {
     balance21(&normal_tree::<D>(seed, n, 8, curve))
 }

@@ -54,8 +54,11 @@ fn mesh_build_and_matvec_are_pinned() {
     // result bits, per-rank clocks, the whole `RunStats`, the sync-point
     // count, the sorted comm-matrix entries and the Chrome-trace digest.
     // Observables only — ghost slot numbering is free to change, the order
-    // couplings are summed in is not (it fixes the `f64` bits). Recorded
-    // before the fem exchanges moved onto the flat arena.
+    // couplings are summed in is not (it fixes the `f64` bits). The p = 1
+    // pins date from before the fem exchanges moved onto the flat arena;
+    // p = 7 and 64 were re-recorded when remote faces became one query per
+    // owner, which ships fewer bytes and sums a straddling face's own-rank
+    // couplings first (same coupling set on these balanced meshes).
     let machine =
         MachineModel::custom("pin-smp", 1.0 / 3.7e9, 25.0e-6, 1.0 / 0.04e9, 4).hierarchical_smp();
     let pins: [(u64, [u64; 3]); 3] = [
@@ -63,24 +66,24 @@ fn mesh_build_and_matvec_are_pinned() {
             11,
             [
                 0x059d_4d82_8195_ea77,
-                0xb0cd_3cf2_53e4_abb6,
-                0x71a8_eb75_618a_0093,
+                0xae40_904f_4c70_9713,
+                0x0f77_8d83_9af3_b988,
             ],
         ),
         (
             12,
             [
                 0x1d50_ff5d_1197_5e4c,
-                0xfdb4_5d5d_b08e_b215,
-                0xeb3a_4d49_d132_9409,
+                0x105e_195f_d0e1_5079,
+                0x3a6c_4aa6_cd77_4f2a,
             ],
         ),
         (
             13,
             [
                 0x288b_1f17_0181_57b5,
-                0x764d_7f91_6f35_3f62,
-                0xb9d1_e65f_d810_1b02,
+                0xb7e2_9b22_4755_47e6,
+                0xb4e8_37ed_ed3c_0808,
             ],
         ),
     ];

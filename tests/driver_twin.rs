@@ -383,9 +383,9 @@ fn cold_partition_smoke_is_pinned() {
     assert_eq!(
         pin,
         Pin {
-            makespan_bits: 0x3f88_34f1_1d58_9111,
-            energy_bits: 0x3ff7_34e0_1f3b_7bac,
-            checksum: 0x702c_09be_683d_9114,
+            makespan_bits: 0x3f84_5802_c674_defb,
+            energy_bits: 0x3ff3_8ff7_6e98_9835,
+            checksum: 0x6b7b_7d40_7a47_943d,
         },
         "cold_partition outputs moved"
     );
@@ -405,9 +405,9 @@ fn many_ranks_smoke_is_pinned() {
     assert_eq!(
         pin,
         Pin {
-            makespan_bits: 0x3f2f_68ff_ee5d_e01d,
-            energy_bits: 0x3fd5_e093_e0e7_e3f5,
-            checksum: 0x0882_001a_a88b_f021,
+            makespan_bits: 0x3f2d_0db7_ed48_7bca,
+            energy_bits: 0x3fd4_78d4_d30d_31ec,
+            checksum: 0x9ef9_bfd7_2d6c_0205,
         },
         "many_ranks outputs moved"
     );
@@ -434,9 +434,9 @@ fn amr_solve_smoke_is_pinned_and_decomposes_bit_for_bit() {
     assert_eq!(
         pin,
         Pin {
-            makespan_bits: 0x3f92_f517_f34a_0312,
-            energy_bits: 0x4004_ba48_1d02_c16c,
-            checksum: 0xb610_10e1_62ff_3eb4,
+            makespan_bits: 0x3f8d_7492_54c7_052e,
+            energy_bits: 0x4000_1a69_7b04_1705,
+            checksum: 0x9d9d_8b13_4999_6164,
         },
         "amr_solve outputs moved"
     );
@@ -494,19 +494,19 @@ fn full_size_twin_is_pinned_and_decomposes_bit_for_bit() {
 
     let expected = [
         Pin {
-            makespan_bits: 0x3fb1_0372_c9f0_a9a9,
-            energy_bits: 0x4036_6b0b_ad47_c454,
-            checksum: 0x63bf_35d6_8f54_4978,
+            makespan_bits: 0x3fab_775a_3def_bbed,
+            energy_bits: 0x4032_4f9d_49c2_e1ae,
+            checksum: 0x68dd_f1ec_7814_7bf0,
         },
         Pin {
-            makespan_bits: 0x3f5d_4d84_6e9c_d2a4,
-            energy_bits: 0x4054_305b_9dcb_74e9,
-            checksum: 0x5008_83c6_317b_cc3b,
+            makespan_bits: 0x3f5c_f3fa_d692_b1e8,
+            energy_bits: 0x4053_fb8b_fac8_04b6,
+            checksum: 0x8df2_6807_05ee_5fc8,
         },
         Pin {
-            makespan_bits: 0x3fe9_55e3_161d_07aa,
-            energy_bits: 0x4070_88a7_846b_7ad6,
-            checksum: 0xece1_aaca_688f_cc32,
+            makespan_bits: 0x3fe7_9bc0_6914_3b0d,
+            energy_bits: 0x406e_d89c_ec86_efe8,
+            checksum: 0x16e4_d144_6915_79eb,
         },
     ];
     assert_eq!([cold, many, amr], expected, "full-size outputs moved");

@@ -8,13 +8,14 @@
 //! collective and OptiPart-optimality invariants are pinned per scenario by
 //! the testkit oracles (`tests/testkit_oracles.rs`).
 
+use optipart_testkit::core::metrics::{assignment, communication_matrix};
 use optipart_testkit::core::optipart::{optipart, OptiPartOptions};
 use optipart_testkit::core::partition::{
     distribute_shuffled, treesort_partition, PartitionOptions,
 };
 use optipart_testkit::fem::matvec::laplacian_matvec;
 use optipart_testkit::fem::mesh::DistMesh;
-use optipart_testkit::gen::{balanced_tree, engine_on, engine_wisconsin, tree};
+use optipart_testkit::gen::{balanced_tree, engine_on, engine_wisconsin, normal_tree, tree};
 use optipart_testkit::machine::energy::{
     ActivityKind, Interval, IpmiSampler, NodePower, PowerTrace,
 };
@@ -476,8 +477,10 @@ fn partition_reports_are_consistent_and_rounds_shrink_with_tolerance() {
 // ---------------------------------------------------------------- fem --
 
 /// One Laplacian matvec of a smooth field, as `(key, value)` in global
-/// order, plus a check that the mesh's ghost lists are symmetric: what `r`
-/// expects from `owner` is what `owner` sends to `r`.
+/// order, plus two checks on the mesh's ghost lists: they are symmetric
+/// (what `r` expects from `owner` is what `owner` sends to `r`), and each
+/// `owner -> r` list holds exactly the leaves the sequential
+/// [`communication_matrix`] says `r` needs from `owner`.
 fn matvec_fingerprint<const D: usize>(
     tree: &LinearTree<D>,
     p: usize,
@@ -491,14 +494,22 @@ fn matvec_fingerprint<const D: usize>(
         PartitionOptions::with_tolerance(tol),
     );
     let mesh = DistMesh::build(&mut e, out.dist, tree.curve());
+    let exact = communication_matrix(tree, &assignment(tree, &mesh.splitters), p);
     for (r, local) in mesh.locals.iter().enumerate() {
-        for (owner, list) in &local.recv_from {
-            let sent = mesh.locals[*owner]
+        for owner in 0..p {
+            let list = local.recv_from.iter().find(|(o, _)| *o == owner);
+            let expected = list.map_or(0, |(_, l)| l.len());
+            let sent = mesh.locals[owner]
                 .send_to
                 .iter()
                 .find(|(to, _)| *to == r)
                 .map_or(0, |(_, l)| l.len());
-            assert_eq!(list.len(), sent, "p = {p}: ghost list {owner} -> {r}");
+            assert_eq!(expected, sent, "p = {p}: ghost list {owner} -> {r}");
+            assert_eq!(
+                expected as u64,
+                exact.get(owner, r),
+                "p = {p} ({D}D): ghost list {owner} -> {r} against the communication matrix"
+            );
         }
     }
     let mut x = DistVec::from_parts(
@@ -525,24 +536,27 @@ fn matvec_fingerprint<const D: usize>(
 }
 
 /// The operator's action does not depend on the partition: `p` and the
-/// tolerance are implementation details, in 3D and in the quadtree
-/// instantiation.
+/// tolerance are implementation details, on 2:1-balanced and unbalanced
+/// meshes, in 3D and in the quadtree instantiation.
 #[test]
 fn matvec_is_partition_independent() {
     fn check<const D: usize>(case: u64, n: usize, r: &mut SplitMix64) {
         let seed = r.next_below(200);
         let p = 2 + r.next_below(7) as usize;
         let tol = range(r, 0.0, 0.5);
-        let tree = balanced_tree::<D>(seed, n, Curve::Hilbert);
-        let serial = matvec_fingerprint(&tree, 1, 0.0, seed);
-        let parallel = matvec_fingerprint(&tree, p, tol, seed);
-        assert_eq!(serial.len(), parallel.len(), "case {case} ({D}D)");
-        for ((k1, v1), (k2, v2)) in serial.iter().zip(&parallel) {
-            assert_eq!(k1, k2, "case {case} ({D}D)");
-            assert!(
-                (v1 - v2).abs() <= 1e-9 * (1.0 + v1.abs()),
-                "case {case} ({D}D), p = {p}, tol = {tol}: {k1:?}: {v1} vs {v2}"
-            );
+        let balanced = balanced_tree::<D>(seed, n, Curve::Hilbert);
+        let unbalanced = normal_tree::<D>(seed, n, 8, Curve::Hilbert);
+        for (mesh, tree) in [("balanced", balanced), ("unbalanced", unbalanced)] {
+            let serial = matvec_fingerprint(&tree, 1, 0.0, seed);
+            let parallel = matvec_fingerprint(&tree, p, tol, seed);
+            assert_eq!(serial.len(), parallel.len(), "case {case} ({D}D, {mesh})");
+            for ((k1, v1), (k2, v2)) in serial.iter().zip(&parallel) {
+                assert_eq!(k1, k2, "case {case} ({D}D, {mesh})");
+                assert!(
+                    (v1 - v2).abs() <= 1e-9 * (1.0 + v1.abs()),
+                    "case {case} ({D}D, {mesh}), p = {p}, tol = {tol}: {k1:?}: {v1} vs {v2}"
+                );
+            }
         }
     }
     for (case, mut r) in cases(40, 8) {

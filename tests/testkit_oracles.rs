@@ -47,10 +47,9 @@ fn oracle_fault_recovery() {
     sweep(oracles::fault_recovery, 0x0175_0004, 100);
 }
 
-/// Oracle 5: the ping-pong/parallel TreeSort is bit-identical to the
-/// retained pre-optimisation reference, across thread budgets, scratch
-/// reuse and windowed level sorts — including inputs tiled past the
-/// parallel-recursion cutoff.
+/// Oracle 5: the sequential ping-pong TreeSort is bit-identical to the
+/// retained pre-optimisation reference, through both entry points, with a
+/// reused caller scratch and on inputs tiled so duplicate keys occur.
 #[test]
 fn oracle_treesort_optimized() {
     sweep(oracles::treesort_optimized, 0x0175_0005, 100);
