@@ -23,7 +23,7 @@ use optipart_fem::amr::{step_mesh, AmrConfig};
 use optipart_fem::{laplacian_matvec, repartition_sequence, DistMesh};
 use optipart_machine::{AppModel, MachineModel, PerfModel};
 use optipart_mpisim::rng::{self, SplitMix64};
-use optipart_mpisim::{AllToAllAlgo, AlltoallvArena, DistVec, Engine};
+use optipart_mpisim::{AllToAllAlgo, AlltoallvArena, DistVec, Engine, ReduceOp};
 use optipart_octree::{sample_points, tree_from_points, Distribution, MeshParams};
 use optipart_serve::soak::mixed_stream;
 use optipart_serve::{ServeConfig, Server};
@@ -266,13 +266,15 @@ pub fn registry() -> Vec<Kernel> {
             full_n: 512,
             tiny_n: 16,
             build: |p| {
-                let contribs: Vec<Vec<u64>> = (0..p).map(|r| vec![r as u64; 512]).collect();
+                let contribs: Vec<Vec<(usize, u64)>> = (0..p)
+                    .map(|r| (0..512).map(|i| (i, r as u64)).collect())
+                    .collect();
                 let elements = (p * 512) as u64;
                 Prepared {
                     elements,
                     run: Box::new(move || {
                         let mut e = engine(p);
-                        let out = e.allreduce_sum_vec_u64(&contribs);
+                        let out = e.allreduce_sparse_u64(&contribs, 512, ReduceOp::Sum);
                         out.iter().fold(0u64, |a, &x| mix(a, x))
                     }),
                 }

@@ -5,14 +5,16 @@
 //! * [`treesort`] — **Algorithm 1**: sequential TreeSort, the MSD-radix /
 //!   top-down-octree reformulation of SFC ordering (§2.1).
 //! * [`partition`] — **distributed TreeSort** (§3.1): breadth-first splitter
-//!   refinement by global bucket-count reductions (no comparisons), with a
+//!   refinement by global bucket-count reductions (no comparisons; each
+//!   rank contributes only the buckets it populates), with a
 //!   user **tolerance** on the load balance (§3.2) and staged splitter
 //!   selection (Eq. 2), followed by the staged all-to-all exchange and a
 //!   local TreeSort.
 //! * [`quality`] — **Algorithm 2** (`PartitionQuality`): estimates a
 //!   candidate partition's `Wmax` and `Cmax` with one linear pass plus three
-//!   vector all-reduces, and predicts its runtime via Eq. (3). The pass
-//!   sweeps a face-neighbour key table built once per ladder.
+//!   vector all-reduces over each rank's sparse per-partition counts, and
+//!   predicts its runtime via Eq. (3). The pass sweeps a face-neighbour key
+//!   table built once per ladder.
 //! * [`optipart()`] — **Algorithm 3** (`OptiPart`): distributed TreeSort that
 //!   refines only while the predicted runtime of the *next* refinement
 //!   improves — discovering the optimal tolerance automatically for the

@@ -38,7 +38,7 @@ use crate::partition::{
 use crate::quality::{partition_quality_keyed, NeighbourKeys, Quality};
 use crate::treesort::bucket_populations;
 use optipart_mpisim::rng::mix;
-use optipart_mpisim::{AllToAllAlgo, DistVec, Engine, Wire};
+use optipart_mpisim::{AllToAllAlgo, DistVec, Engine, ReduceOp, Wire};
 use optipart_sfc::{Curve, KeyedCell, SfcKey};
 
 /// Options for OptiPart. The exchange is always the hypercube all-to-all
@@ -560,13 +560,13 @@ fn recount_table<const D: usize>(
 ) -> (CountTable, usize) {
     let starts: Vec<u128> = prev.iter().map(|&(path, _, _)| path).collect();
     let elem_bytes = KeyedCell::<D>::BYTES as f64;
-    let local: Vec<Vec<u64>> = engine.compute_map(dist, |_r, buf| {
+    let local: Vec<Vec<(usize, u64)>> = engine.compute_map(dist, |_r, buf| {
         (
             buf.len() as f64 * elem_bytes,
             bucket_populations::<D>(buf, &starts),
         )
     });
-    let counts = engine.allreduce_sum_vec_u64(&local);
+    let counts = engine.allreduce_sparse_u64(&local, prev.len(), ReduceOp::Sum);
     let changed = prev
         .iter()
         .zip(&counts)

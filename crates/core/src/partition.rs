@@ -14,7 +14,7 @@
 use crate::metrics::load_imbalance;
 use crate::treesort::treesort;
 use optipart_mpisim::rng::SplitMix64;
-use optipart_mpisim::{AllToAllAlgo, DistVec, Engine, Wire};
+use optipart_mpisim::{AllToAllAlgo, DistVec, Engine, ReduceOp, Tally, Wire};
 use optipart_octree::LinearTree;
 use optipart_sfc::{KeyedCell, SfcKey, MAX_DEPTH};
 
@@ -532,7 +532,7 @@ impl SplitterSearch {
     /// One refinement round: split the given buckets and recount their
     /// children. Counts the `table` can still resolve are served without
     /// touching the element data; the rest — without a table, all of them —
-    /// pay one compute pass + one vector all-reduce (the warm replay thus
+    /// pay one compute pass + one sparse vector all-reduce (the warm replay thus
     /// counts live only below the table's resolution, where the mesh
     /// actually changed). The state transition is identical either way.
     pub fn refine_round<const D: usize>(
@@ -561,14 +561,14 @@ impl SplitterSearch {
         let mut global = Vec::new();
         if !bounds.is_empty() {
             let elem_bytes = KeyedCell::<D>::BYTES as f64;
-            let local_counts: Vec<Vec<u64>> = engine.compute_map(dist, |_r, buf| {
+            let local_counts: Vec<Vec<(usize, u64)>> = engine.compute_map(dist, |_r, buf| {
                 // One pass over the local data (the tc·N/p term of Eq. 1).
                 (
                     buf.len() as f64 * elem_bytes,
                     count_children::<D>(buf, &bounds),
                 )
             });
-            global = engine.allreduce_sum_vec_u64(&local_counts);
+            global = engine.allreduce_sparse_u64(&local_counts, bounds.len() * nc, ReduceOp::Sum);
         }
         if !known.is_empty() {
             // Interleave served and live-counted children in split order.
@@ -683,10 +683,15 @@ impl SplitterSearch {
 }
 
 /// Histogram of `buf` over the children of the buckets bounded by
-/// `bounds` (the local counting pass of one refinement round).
-fn count_children<const D: usize>(buf: &[KeyedCell<D>], bounds: &[(u128, u128, u8)]) -> Vec<u64> {
+/// `bounds` (the local counting pass of one refinement round), as sparse
+/// `(bounds index · 2^D + child, count)` entries: one per child the rank
+/// populates, however many buckets the round splits.
+fn count_children<const D: usize>(
+    buf: &[KeyedCell<D>],
+    bounds: &[(u128, u128, u8)],
+) -> Vec<(usize, u64)> {
     let nc = 1usize << D;
-    let mut counts = vec![0u64; bounds.len() * nc];
+    let mut counts = Tally::new(bounds.len() * nc, buf.len());
     for kc in buf.iter() {
         let path = kc.key.path();
         // Which split bucket (if any) holds this element?
@@ -703,9 +708,9 @@ fn count_children<const D: usize>(buf: &[KeyedCell<D>], bounds: &[(u128, u128, u
         } else {
             kc.key.digit::<D>(lvl)
         };
-        counts[(si - 1) * nc + child] += 1;
+        counts.add((si - 1) * nc + child);
     }
-    counts
+    counts.finish()
 }
 
 /// Moves every element to its owner under `splitters`, TreeSorts locally

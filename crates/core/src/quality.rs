@@ -4,7 +4,8 @@
 //! deliver, without moving any data: one linear pass over the local elements
 //! counts those on partition boundaries (`computeLocalBdyOctants`), the
 //! partition sizes follow from the same pass, and three vector all-reduces
-//! yield `Cmax`, `Wmax` and the neighbour count `Mmax` for Eq. (3).
+//! over each rank's sparse `(partition, count)` entries yield `Cmax`,
+//! `Wmax` and the neighbour count `Mmax` for Eq. (3).
 //!
 //! A cell is a *boundary octant* of its partition if any of its `2D`
 //! same-size face neighbours falls into a different partition — exactly the
@@ -24,7 +25,7 @@
 //! would move every clock, and is a separate decision.
 
 use crate::partition::owner_of;
-use optipart_mpisim::{par, DistVec, Engine, Wire};
+use optipart_mpisim::{par, DistVec, Engine, ReduceOp, Tally, Wire};
 use optipart_sfc::{Curve, KeyedCell, SfcKey};
 
 /// Result of a quality evaluation.
@@ -123,8 +124,9 @@ impl NeighbourKeys {
 /// block-distributed) data — Algorithm 2.
 ///
 /// Every rank classifies its local elements into future partitions and
-/// counts sizes and boundary octants per partition; vector all-reduces
-/// produce the global per-partition totals, whose maxima feed Eq. (3).
+/// counts sizes and boundary octants per partition it touches; sparse
+/// vector all-reduces produce the global per-partition totals, whose
+/// maxima feed Eq. (3).
 /// `Mmax` is the largest number of distinct foreign partitions one source
 /// rank sees from its elements of one partition — a partition whose
 /// elements span several ranks has its neighbour set split across them,
@@ -163,24 +165,26 @@ pub(crate) fn partition_quality_keyed<const D: usize>(
     let rpn = engine.perf().machine.ranks_per_node.max(1);
 
     // Line 1–2: one linear pass computing local boundary-octant (total and
-    // all-neighbours-on-node) and size contributions per future partition.
-    let local: Vec<(Vec<u64>, Vec<u64>, Vec<u64>)> = engine.compute_map(dist, |r, buf| {
+    // all-neighbours-on-node) and size contributions per future partition,
+    // sparse: one entry per partition the rank's elements touch.
+    type Sparse = Vec<(usize, u64)>;
+    let local: Vec<(Sparse, Sparse, Sparse)> = engine.compute_map(dist, |r, buf| {
         let nbr_keys = keys.rank(r);
         debug_assert_eq!(
             nbr_keys.len(),
             2 * D * buf.len(),
             "rank {r}: neighbour table out of step with its elements"
         );
-        // bdy packs [bdy_total ++ bdy_intra], length 2p.
-        let mut bdy = vec![0u64; 2 * p];
-        let mut sz = vec![0u64; p];
+        // `bdy` packs [bdy_total ++ bdy_intra] over a length-2p vector.
+        let mut bdy = Tally::new(2 * p, 2 * buf.len());
+        let mut sz = Tally::new(p, buf.len());
         // Every `(own, other)` partition pair seen from this rank's
         // elements, deduplicated at the end; a partition's neighbour count
         // is its run length. Starts with room for one element's faces.
         let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(2 * D);
         for (kc, nks) in buf.iter().zip(nbr_keys.chunks_exact(2 * D)) {
             let own = owner_of(splitters, &kc.key);
-            sz[own] += 1;
+            sz.add(own);
             let inside = &nks[..nks.partition_point(|k| *k < SfcKey::MAX)];
             let (Some(first), Some(last)) = (inside.first(), inside.last()) else {
                 continue;
@@ -202,40 +206,38 @@ pub(crate) fn partition_quality_keyed<const D: usize>(
                     push_pair(&mut pairs, (own, other));
                 }
             }
-            bdy[own] += 1;
+            bdy.add(own);
             if !off_node {
-                bdy[p + own] += 1;
+                bdy.add(p + own);
             }
         }
         pairs.sort_unstable();
         pairs.dedup();
-        let mut nbrs = vec![0u64; p];
-        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
-            nbrs[run[0].0] = run.len() as u64;
-        }
+        let mut nbrs = Tally::new(p, pairs.len());
+        pairs.iter().for_each(|&(own, _)| nbrs.add(own));
         // One pass over elements + 2D neighbour probes.
         (
             buf.len() as f64 * elem_bytes * (1.0 + 2.0 * D as f64),
-            (bdy, sz, nbrs),
+            (bdy.finish(), sz.finish(), nbrs.finish()),
         )
     });
 
     // Lines 3–4: ReduceAll to global per-partition vectors, take maxima.
-    let mut bdy_contrib: Vec<Vec<u64>> = Vec::with_capacity(local.len());
-    let mut sz_contrib: Vec<Vec<u64>> = Vec::with_capacity(local.len());
-    let mut nbr_contrib: Vec<Vec<u64>> = Vec::with_capacity(local.len());
+    let mut bdy_contrib = Vec::with_capacity(local.len());
+    let mut sz_contrib = Vec::with_capacity(local.len());
+    let mut nbr_contrib = Vec::with_capacity(local.len());
     for (b, s, n) in local {
         bdy_contrib.push(b);
         sz_contrib.push(s);
         nbr_contrib.push(n);
     }
-    let bdy = engine.allreduce_sum_vec_u64(&bdy_contrib);
-    let sz = engine.allreduce_sum_vec_u64(&sz_contrib);
+    let bdy = engine.allreduce_sparse_u64(&bdy_contrib, 2 * p, ReduceOp::Sum);
+    let sz = engine.allreduce_sparse_u64(&sz_contrib, p, ReduceOp::Sum);
     // Neighbour sets observed by different source ranks overlap, so neither
     // a sum (overcounts, increasingly for larger partitions) nor a max
     // (undercounts for scattered inputs) is exact; the max is the less
     // biased choice for the near-sorted inputs the refinement loop sees.
-    let nbrs = engine.allreduce_max_vec_u64(&nbr_contrib);
+    let nbrs = engine.allreduce_sparse_u64(&nbr_contrib, p, ReduceOp::Max);
     // Split the concatenated reduce back into [total | intra]; the Cmax
     // argmax (strict >, lowest index on ties) carries its intra count along.
     // On a two-level machine the critical partition is the one whose

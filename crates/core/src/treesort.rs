@@ -28,6 +28,7 @@
 //! `cfg(any(test, feature = "reference"))`) so differential oracles can
 //! check bit-identity forever.
 
+use optipart_mpisim::Tally;
 use optipart_sfc::{KeyedCell, MAX_DEPTH};
 
 /// Buckets below this size switch to a comparison sort — the standard MSD
@@ -192,21 +193,25 @@ pub fn treesort_reference<const D: usize>(a: &mut [KeyedCell<D>]) {
 /// Per-leaf element populations of `buf` over an octree-aligned leaf
 /// tiling — leaf start paths sorted ascending, spanning the whole key
 /// domain from path 0 (the final bucket tiling a splitter search leaves
-/// behind). Each element is placed by one binary search over the leaf
+/// behind) — as sparse `(leaf index, count)` entries, one per populated
+/// leaf. Each element is placed by one binary search over the leaf
 /// starts, sorted input or not. This is the population diff OptiPart's
 /// warm-start replay uses to find the buckets the refinement front
 /// actually moved.
-pub fn bucket_populations<const D: usize>(buf: &[KeyedCell<D>], leaf_starts: &[u128]) -> Vec<u64> {
-    let mut counts = vec![0u64; leaf_starts.len()];
+pub fn bucket_populations<const D: usize>(
+    buf: &[KeyedCell<D>],
+    leaf_starts: &[u128],
+) -> Vec<(usize, u64)> {
     if leaf_starts.is_empty() {
-        return counts;
+        return Vec::new();
     }
+    let mut counts = Tally::new(leaf_starts.len(), buf.len());
     debug_assert_eq!(leaf_starts[0], 0, "leaf tiling must start at path 0");
     for kc in buf {
         let i = leaf_starts.partition_point(|&p| p <= kc.key.path());
-        counts[i - 1] += 1;
+        counts.add(i - 1);
     }
-    counts
+    counts.finish()
 }
 
 #[cfg(test)]

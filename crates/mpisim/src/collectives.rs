@@ -26,6 +26,79 @@ use crate::engine::Engine;
 use crate::faults::FaultPlan;
 use crate::wire::Wire;
 
+/// Element-wise operator of [`Engine::allreduce_sparse_u64`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReduceOp {
+    /// `MPI_SUM`.
+    Sum,
+    /// `MPI_MAX` (the identity is 0: every value is a `u64`).
+    Max,
+}
+
+/// One rank's sparse contribution to [`Engine::allreduce_sparse_u64`],
+/// built by counting indices in one pass over the rank's elements. A rank
+/// with at least as many elements as the reduced vector is long counts in
+/// one slot per index (no more slots than it has elements) and drops the
+/// empty ones at [`Tally::finish`]; a rank with fewer counts runs of equal
+/// indices, one entry per run, sorted and merged at the finish if they
+/// arrived out of order. Either way a rank allocates one buffer of
+/// min(len, elements) entries, never O(len) beside a handful of elements.
+#[derive(Debug)]
+pub struct Tally {
+    entries: Vec<(usize, u64)>,
+    dense: bool,
+    unsorted: bool,
+}
+
+impl Tally {
+    /// A tally over indices `0..len` for a rank about to add `adds` of them.
+    pub fn new(len: usize, adds: usize) -> Self {
+        let dense = len <= adds;
+        Tally {
+            entries: if dense {
+                (0..len).map(|i| (i, 0)).collect()
+            } else {
+                Vec::with_capacity(adds)
+            },
+            dense,
+            unsorted: false,
+        }
+    }
+
+    /// Counts one occurrence of `index`.
+    #[inline]
+    pub fn add(&mut self, index: usize) {
+        if self.dense {
+            self.entries[index].1 += 1;
+            return;
+        }
+        match self.entries.last_mut() {
+            Some((last, n)) if *last == index => *n += 1,
+            last => {
+                self.unsorted |= last.is_some_and(|&mut (last, _)| last > index);
+                self.entries.push((index, 1));
+            }
+        }
+    }
+
+    /// The non-zero `(index, count)` entries, ascending and one per index.
+    pub fn finish(mut self) -> Vec<(usize, u64)> {
+        if self.dense {
+            self.entries.retain(|&(_, n)| n > 0);
+        } else if self.unsorted {
+            self.entries.sort_unstable_by_key(|&(i, _)| i);
+            self.entries.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
+        }
+        self.entries
+    }
+}
+
 /// All-to-all scheduling algorithm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AllToAllAlgo {
@@ -580,42 +653,29 @@ impl Engine {
         contrib.iter().sum()
     }
 
-    /// Element-wise `MPI_Allreduce(SUM)` over a `u64` vector per rank —
-    /// the reduction OptiPart uses to obtain global bucket counts
-    /// (Algorithm 3 line 18). The vector length is the splitter/bucket
-    /// count `k`, so the cost realises the `(ts + tw·k) log p` term of
-    /// Eq. (2).
-    pub fn allreduce_sum_vec_u64(&mut self, contribs: &[Vec<u64>]) -> Vec<u64> {
+    /// Element-wise `MPI_Allreduce` over a `u64` vector of length `len`,
+    /// each rank contributing only its non-zero `(index, value)` entries —
+    /// the one vector reduction: global bucket counts (Algorithm 3 line 18)
+    /// and Algorithm 2's per-partition totals. An index a rank repeats
+    /// combines under `op` like any other. The charge is the dense
+    /// vector's, `8·len` bytes through the reduction tree, so the cost
+    /// realises the `(ts + tw·k) log p` term of Eq. (2) whatever the
+    /// contributions' sparsity; the host work is O(len + Σ entries), not
+    /// O(p·len).
+    pub fn allreduce_sparse_u64(
+        &mut self,
+        contribs: &[Vec<(usize, u64)>],
+        len: usize,
+        op: ReduceOp,
+    ) -> Vec<u64> {
         assert_eq!(contribs.len(), self.p);
-        let len = contribs[0].len();
-        assert!(
-            contribs.iter().all(|c| c.len() == len),
-            "ragged contributions"
-        );
         self.charge_tree_collective("allreduce", 8 * len as u64);
         let mut out = vec![0u64; len];
-        for c in contribs {
-            for (o, v) in out.iter_mut().zip(c) {
-                *o += v;
-            }
-        }
-        out
-    }
-
-    /// Element-wise `MPI_Allreduce(MAX)` over a `u64` vector per rank.
-    pub fn allreduce_max_vec_u64(&mut self, contribs: &[Vec<u64>]) -> Vec<u64> {
-        assert_eq!(contribs.len(), self.p);
-        let len = contribs[0].len();
-        assert!(
-            contribs.iter().all(|c| c.len() == len),
-            "ragged contributions"
-        );
-        self.charge_tree_collective("allreduce", 8 * len as u64);
-        let mut out = vec![0u64; len];
-        for c in contribs {
-            for (o, v) in out.iter_mut().zip(c) {
-                *o = (*o).max(*v);
-            }
+        for &(i, v) in contribs.iter().flatten() {
+            out[i] = match op {
+                ReduceOp::Sum => out[i] + v,
+                ReduceOp::Max => out[i].max(v),
+            };
         }
         out
     }
@@ -908,12 +968,45 @@ mod tests {
     #[test]
     fn vector_allreduce_sums_elementwise() {
         // Every sum distinct, so a permuted or dropped contribution cannot
-        // hide behind an equal total; each rank holds one entry's maximum.
-        let contribs = [vec![1, 9, 7], vec![4, 5, 0], vec![3, 10, 2]];
-        let mut e = engine(3);
-        assert_eq!(e.allreduce_sum_vec_u64(&contribs), vec![8, 24, 9]);
-        assert_eq!(e.allreduce_max_vec_u64(&contribs), vec![4, 10, 7]);
+        // hide behind an equal total. Index 1 is touched by three ranks
+        // (a last-writer-wins reducer reads 10, not 24), every rank's last
+        // entry carries weight, rank 2 contributes nothing, and each of
+        // indices 0, 1 and 3 takes its maximum from a different rank.
+        let contribs = vec![
+            vec![(1, 9), (3, 7)],
+            vec![(0, 4), (1, 5)],
+            vec![],
+            vec![(0, 3), (1, 10), (3, 2)],
+        ];
+        let mut e = engine(4);
+        assert_eq!(
+            e.allreduce_sparse_u64(&contribs, 5, ReduceOp::Sum),
+            vec![7, 24, 0, 9, 0]
+        );
+        assert_eq!(
+            e.allreduce_sparse_u64(&contribs, 5, ReduceOp::Max),
+            vec![4, 10, 0, 7, 0]
+        );
         assert_eq!(e.stats().collectives, 2);
+        // The dense vector's charge: 8·len bytes per rank per tree level.
+        assert_eq!(e.stats().bytes_total, 2 * 8 * 5 * 4 * 2);
+    }
+
+    #[test]
+    fn tally_counts_in_any_order_dense_or_sparse() {
+        // `adds` at or above `len` counts densely, below it in runs; both
+        // report the same sorted non-zeros for sorted and shuffled input.
+        for adds in [0, 6, 10, 1_000] {
+            let count = |idx: &[usize]| {
+                let mut t = Tally::new(10, adds);
+                idx.iter().for_each(|&i| t.add(i));
+                t.finish()
+            };
+            assert_eq!(count(&[]), vec![], "adds = {adds}");
+            let want = vec![(2, 2), (5, 1), (9, 3)];
+            assert_eq!(count(&[2, 2, 5, 9, 9, 9]), want, "adds = {adds}");
+            assert_eq!(count(&[9, 2, 9, 5, 2, 9]), want, "adds = {adds}");
+        }
     }
 
     #[test]

@@ -89,7 +89,7 @@ mod wire;
 pub use checkpoint::{
     Checkpoint, CheckpointPolicy, CheckpointStats, CheckpointStore, Replicated, Snapshot,
 };
-pub use collectives::{AllToAllAlgo, AlltoallvArena};
+pub use collectives::{AllToAllAlgo, AlltoallvArena, ReduceOp, Tally};
 pub use dist::DistVec;
 pub use engine::Engine;
 pub use faults::{catch_rank_death, survive_rank_death, FaultPlan, RankDeath, RankFaults};

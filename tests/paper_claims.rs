@@ -313,10 +313,11 @@ fn moving_front_warm_replay_and_mid_sequence_recovery() {
         curve: scn.curve,
         ..Default::default()
     };
-    // 2:1-balance each step's mesh: the FEM stencil's partition
-    // independence (and hence the cross-communicator solution compare)
-    // is only guaranteed on balanced meshes. Balancing is per-mesh, so
-    // the front's period-8 repetition survives it.
+    // 2:1-balance each step's mesh, as an AMR code would. The FEM
+    // stencil's coupling set is partition independent on any complete
+    // octree, so the cross-communicator solution compare needs no
+    // balance; its bits are not, hence the 1e-12 compare. Balancing is
+    // per-mesh, so the front's period-8 repetition survives it.
     let trees: Vec<LinearTree<3>> = (0..STEPS).map(|t| balance21(&scn.mesh_at(t))).collect();
 
     // One letter per step, from the warm counters' deltas: (C)old seed,

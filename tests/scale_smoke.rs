@@ -2,16 +2,25 @@
 //! stack must execute at up to p = 262,144 virtual ranks on one box —
 //! the full Titan rank count of the paper's Fig. 4 sweep — with staging
 //! memory O(active neighbours + log p) per rank instead of O(p), and a
-//! steady state that allocates (essentially) nothing per exchange.
+//! steady state that allocates (essentially) nothing per exchange. The
+//! partitioners on top of it, exact TreeSort and OptiPart, must allocate
+//! about linearly in p too: their vector all-reduces take each rank's
+//! non-zeros, not a dense vector per rank.
 //!
 //! The allocation counters are process-wide, so every `#[test]` in this
 //! binary holds [`serial`] for its whole body: whatever `--test-threads`
 //! libtest is given, no other test allocates while one is counting.
 
 use optipart_bench::alloc_count::{counters, CountingAllocator};
+use optipart_core::optipart::{optipart, OptiPartOptions};
+use optipart_core::partition::{
+    distribute_tree, treesort_partition, PartitionOptions, PartitionOutcome,
+};
 use optipart_machine::{AppModel, MachineModel, PerfModel};
 use optipart_mpisim::par::par_map_mut_n;
 use optipart_mpisim::{AllToAllAlgo, AlltoallvArena, Engine};
+use optipart_octree::MeshParams;
+use optipart_sfc::Curve;
 use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
@@ -166,4 +175,83 @@ fn trace_identity_across_thread_counts() {
         a == b,
         "trace bytes diverge between 1 and 4 worker threads at p = {p}"
     );
+}
+
+/// Bytes one partition run allocates from engine build to delivered
+/// outcome, with the outcome checked for every element delivered.
+fn partition_bytes(
+    p: usize,
+    n: usize,
+    run: impl FnOnce(&mut Engine) -> PartitionOutcome<3>,
+) -> u64 {
+    let (_, b0) = counters();
+    let mut e = engine(p);
+    let out = run(&mut e);
+    let (_, b1) = counters();
+    assert_eq!(out.report.counts.len(), p, "p = {p}: one count per rank");
+    assert_eq!(
+        out.report.counts.iter().sum::<u64>(),
+        n as u64,
+        "p = {p}: elements lost or duplicated"
+    );
+    assert!(
+        out.report.counts.iter().all(|&c| c > 0),
+        "p = {p}: an empty partition"
+    );
+    b1 - b0
+}
+
+/// Exact TreeSort and OptiPart on one fixed mesh of about 270 k leaves at
+/// p = 4,096, 16,384 and 65,536: every rank reports its splitter-bucket
+/// and per-partition counts as sparse entries, so the bytes a partition
+/// allocates grow about linearly in p (16× from end to end, or less: the
+/// mesh's own bytes do not grow). A dense vector per rank per reduction
+/// grows them as p² (256×).
+#[test]
+fn partition_bytes_grow_linearly_in_p() {
+    let _serial = serial();
+    let tree = MeshParams {
+        num_points: 80_000,
+        seed: 3,
+        ..Default::default()
+    }
+    .build(Curve::Hilbert);
+    let n = tree.leaves().len();
+    let ranks = [4_096, 16_384, 65_536];
+    assert!(
+        n >= 4 * ranks[2],
+        "{n} leaves: too few for p = {}",
+        ranks[2]
+    );
+    let mut bytes = Vec::new();
+    for p in ranks {
+        let exact = partition_bytes(p, n, |e| {
+            treesort_partition(e, distribute_tree(&tree, p), PartitionOptions::exact())
+        });
+        let ladder = partition_bytes(p, n, |e| {
+            let opts = OptiPartOptions::for_curve(Curve::Hilbert);
+            optipart(e, distribute_tree(&tree, p), opts)
+        });
+        println!("p = {p}: exact TreeSort {exact} bytes, OptiPart {ladder} bytes");
+        bytes.push((exact, ladder));
+    }
+    let last = ranks.len() - 1;
+    let linear = (ranks[last] / ranks[0]) as f64;
+    for (name, lo, hi) in [
+        ("exact TreeSort", bytes[0].0, bytes[last].0),
+        ("OptiPart", bytes[0].1, bytes[last].1),
+    ] {
+        let growth = hi as f64 / lo as f64;
+        println!(
+            "{name}: growth {growth:.2}× from p = {} to {}",
+            ranks[0], ranks[last]
+        );
+        assert!(
+            growth <= linear,
+            "{name} allocated {growth:.1}× the bytes from p = {} to p = {} \
+             (linear would be {linear:.0}×) — a dense per-rank vector is back",
+            ranks[0],
+            ranks[last]
+        );
+    }
 }
